@@ -19,10 +19,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import BudgetError
-from .symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, npq, qpow
-
-SR_ZERO = SignedRational(0)
-SR_ONE = SignedRational(1)
+from .locint import _check_prime, _nonresidue
+from .symb import SL_ONE, SR_ONE, SR_ZERO, SignedRational, npq, qpow
 
 
 def _check_partition(parts: Sequence[int], what: str) -> tuple[int, ...]:
@@ -213,13 +211,6 @@ def scale_alpha(value: SignedRational, k: int) -> SignedRational:
 # brute counting over O_E / pi^d with O_E = Z_p[w], w^2 a nonresidue
 
 
-def _nonresidue(p: int) -> int:
-    for c in range(2, p):
-        if pow(c, (p - 1) // 2, p) != 1:
-            return c
-    raise ValueError(f"no quadratic nonresidue mod {p}")
-
-
 def alpha_brute(ambient: Sequence[int], target: Sequence[int], p: int, d: int) -> Fraction:
     """Direct solution count for diagonal forms, feasible for k <= 2 columns.
 
@@ -233,6 +224,7 @@ def alpha_brute(ambient: Sequence[int], target: Sequence[int], p: int, d: int) -
     m, k = len(a_exps), len(b_exps)
     if k > 2:
         raise ValueError("brute counting supports at most 2 target columns")
+    _check_prime(p)
     if p > 5 or d > 3 or p ** (2 * d * m) > 6 * 10 ** 5:
         raise BudgetError("brute counting budget exceeded")
     if k == 2 and p ** (2 * d * m) > 10 ** 4:
@@ -393,6 +385,7 @@ def jcount_oracle(l_exps: Sequence[int], m_exps: Sequence[int], p: int, d: int,
     k, m = len(lv), len(mv)
     if kind in ("J", "J1") and k % 2:
         raise ValueError("membership kinds need even rank")
+    _check_prime(p)
     if p ** (2 * d * m) > 10 ** 5 or k > 2:
         raise BudgetError("counting budget exceeded")
     mod = p ** d

@@ -7,9 +7,12 @@ of a product of three factors:
     profile value      a pure power of s = -q controlled by the index classes
     1 / alpha(Y)       the Iwahori stabilizer density of Y
 
-Everything stays exact: terms are SignedRational, the tails beyond the finite
-kink region are geometric and get summed in closed form after the code checks
-the progression really is geometric.
+Everything stays exact.  Each of the three factors, and so each term, has
+the form c s^N (s-1)^A (s+1)^B and is carried as the tuple (c, N, A, B) with c
+a nonzero Fraction; the form is unique, so tuple equality is value equality.
+The finite kink region is summed over one common denominator and
+canonicalized once; the tails beyond it are geometric, which the code checks
+as exponent differences before summing them in closed form.
 
 Derivatives are taken against the lattice scaling variable X = s^{-2r} with
 the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
@@ -20,11 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .errors import BudgetError
-from .locint import norm_integral, trace_pair_integral
-from .reps import MonomialHermitian, WeightProfile, classify, diagonal, dual_vee, dual_wedge, make_monomial
-from .symb import SL_ONE, SR_ONE, SR_ZERO, SignedLaurent, SignedRational, npq, qpow
+from .errors import BudgetError, InvariantError
+from .locint import _check_prime, _nonresidue, norm_integral, trace_pair_integral
+from .reps import MonomialHermitian, WeightProfile, classify, diagonal, make_monomial
+from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, npq
 
 
 def _min0(x: int) -> int:
@@ -47,14 +51,110 @@ def _slot_integral(fixed: bool, r1: str, r2: str, exp: int):
     gram product convolves those dicts and wraps the result once.
     """
     fac = norm_integral(r1, exp) if fixed else trace_pair_integral(r1, r2, exp)
-    assert fac.den == SignedLaurent.one()
+    if fac.den != SL_ONE:
+        raise InvariantError(f"slot value is not a Laurent polynomial: {fac!r}")
     if fac.num.is_zero():
         return None
     out = {}
     for e, c in fac.num.coeffs.items():
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise InvariantError(f"slot value has a fractional coefficient: {fac!r}")
         out[e] = c.numerator
     return out
+
+
+def _synth_div(coeffs: list, root: int):
+    """Divide sum coeffs[i] s^i by (s - root): (quotient coeffs, remainder)."""
+    acc = 0
+    out = []
+    for a in reversed(coeffs):
+        acc = a + root * acc
+        out.append(acc)
+    rem = out.pop()
+    out.reverse()
+    return out, rem
+
+
+@lru_cache(maxsize=None)
+def _slot_factor(fixed: bool, r1: str, r2: str, exp: int):
+    """Slot table value as a factored term (c, N, A, B), None when zero.
+
+    Synthetic division strips (s - 1) and then (s + 1) while the remainder
+    vanishes; what is left of the table value must be a constant.
+    """
+    poly = _slot_integral(fixed, r1, r2, exp)
+    if poly is None:
+        return None
+    low = min(poly)
+    coeffs = [poly.get(e, 0) for e in range(low, max(poly) + 1)]
+    mult = []
+    for root in (1, -1):
+        k = 0
+        while len(coeffs) > 1:
+            quot, rem = _synth_div(coeffs, root)
+            if rem:
+                break
+            coeffs = quot
+            k += 1
+        mult.append(k)
+    if len(coeffs) != 1:
+        raise InvariantError(f"slot value does not factor over s, s - 1, s + 1: {poly}")
+    return Fraction(coeffs[0]), low, mult[0], mult[1]
+
+
+# ---------------------------------------------------------------------------
+# factored terms: the tuple (c, N, A, B) stands for c s^N (s-1)^A (s+1)^B
+
+
+@lru_cache(maxsize=None)
+def _pm_coeffs(a: int, b: int) -> tuple:
+    """Integer coefficients of (s - 1)^a (s + 1)^b, constant term first."""
+    out = [1]
+    for root in (1,) * a + (-1,) * b:
+        out = [x - root * y for x, y in zip([0] + out, out + [0])]
+    return tuple(out)
+
+
+def _pm_poly(a: int, b: int) -> SignedLaurent:
+    return SignedLaurent(dict(enumerate(_pm_coeffs(a, b))))
+
+
+def _expand(term: tuple) -> SignedRational:
+    c, n, a, b = term
+    num = SignedLaurent.monomial(n, c) * _pm_poly(max(a, 0), max(b, 0))
+    return SignedRational(num, _pm_poly(max(-a, 0), max(-b, 0)))
+
+
+def _tmul(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]
+
+
+def _numerator(weighted: list, low: tuple) -> SignedLaurent:
+    """Sum of w * term times s^-N0 (s-1)^-A0 (s+1)^-B0, low = (N0, A0, B0).
+
+    low is at most every term's exponents, so each summand is a polynomial;
+    coefficients accumulate as integers over the common denominator of the c.
+    """
+    n0, a0, b0 = low
+    den = 1
+    for _, t in weighted:
+        den = lcm(den, t[0].denominator)
+    acc: dict[int, int] = {}
+    for w, (c, n, a, b) in weighted:
+        k = w * c.numerator * (den // c.denominator)
+        for e, x in enumerate(_pm_coeffs(a - a0, b - b0), n - n0):
+            if x:
+                acc[e] = acc.get(e, 0) + k * x
+    return SignedLaurent({e: Fraction(v, den) for e, v in acc.items()})
+
+
+def _evaluate(term: tuple, q: int) -> Fraction:
+    """Value of a factored term at s = -q."""
+    s = -Fraction(q)
+    if s == 0:
+        raise ValueError("cannot evaluate at q = 0")
+    c, n, a, b = term
+    return c * s ** n * (s - 1) ** a * (s + 1) ** b
 
 
 # The gram product multiplies dozens of tiny integer Laurent polynomials.
@@ -93,6 +193,24 @@ def _slot_key(Y: MonomialHermitian, B: MonomialHermitian, k: int, j: int):
     if (pk, pj) == (k, j):
         return True, _slot_region(k, j), "", exp
     return False, _slot_region(k, j), _slot_region(pk, pj), exp
+
+
+def _gram_factor(Y: MonomialHermitian, B: MonomialHermitian):
+    """gram_g(Y, B) as a factored term, None when it vanishes."""
+    c, n, a, b = 1, 0, 0, 0
+    for k in range(1, Y.size + 1):
+        for j in range(1, Y.size + 1):
+            key = _slot_key(Y, B, k, j)
+            if key is None:
+                continue
+            f = _slot_factor(*key)
+            if f is None:
+                return None
+            c *= f[0]
+            n += f[1]
+            a += f[2]
+            b += f[3]
+    return c, n, a, b
 
 
 def _gram_dicts(Y: MonomialHermitian, B: MonomialHermitian) -> SignedRational:
@@ -237,14 +355,20 @@ def profile_f(Y: MonomialHermitian, prof: WeightProfile):
     f_base the same at r = 0, slope the X-exponent sign-flipped so that
     value = f_base * X^{-slope}.
     """
+    base_exp, m_sum = _profile_exps(Y, prof)
+    value = SignedRational(npq(base_exp + 2 * prof.r * m_sum))
+    return SignedRational(npq(base_exp)), m_sum, value
+
+
+def _profile_exps(Y: MonomialHermitian, prof: WeightProfile) -> tuple[int, int]:
+    """(base_exp, slope): the profile value is s^(base_exp + 2 r slope)."""
     if Y.size != 2 * prof.n:
         raise ValueError("size mismatch")
     items = _profile_items(Y, prof.h)
     t = prof.t
     m_sum = sum(a for a, _, _ in items)
     base_exp = (2 * prof.n - t) * m_sum + sum(t * b + t * c for _, b, c in items)
-    value = SignedRational(npq(base_exp + 2 * prof.r * m_sum))
-    return SignedRational(npq(base_exp)), m_sum, value
+    return base_exp, m_sum
 
 
 def f_plain(Y: MonomialHermitian, h: int) -> SignedRational:
@@ -289,20 +413,21 @@ def dual_slope(Y: MonomialHermitian, h: int) -> int:
 # Iwahori stabilizer density, n = 1
 
 
-_QP1SQ = (SL_ONE - npq(1)) * (SL_ONE - npq(1))  # (q+1)^2
-
-
-def alpha_iwahori_n1(Y: MonomialHermitian) -> SignedRational:
+def _alpha_factor(Y: MonomialHermitian) -> tuple:
+    """alpha_iwahori_n1(Y) as a factored term (c, N, A, B)."""
     if Y.size != 2:
         raise ValueError("closed forms cover 2x2 only")
     if Y.is_diagonal():
         m1, m2 = Y.e
-        if m1 >= m2:
-            return SignedRational(_QP1SQ * qpow(-4 + m1 + 3 * m2))
-        return SignedRational(_QP1SQ * qpow(-2 + 3 * m1 + m2))
-    e = Y.e_of(1)
-    head = qpow(3) - qpow(1)  # q(q^2 - 1)
-    return SignedRational(head * qpow(-4 + 4 * e))
+        k = -4 + m1 + 3 * m2 if m1 >= m2 else -2 + 3 * m1 + m2
+        # (q + 1)^2 q^k = (s - 1)^2 (-1)^k s^k
+        return Fraction(-1 if k % 2 else 1), k, 2, 0
+    # q (q^2 - 1) q^(4e - 4) = -s (s - 1) (s + 1) s^(4e - 4)
+    return Fraction(-1), 4 * Y.e_of(1) - 3, 1, 1
+
+
+def alpha_iwahori_n1(Y: MonomialHermitian) -> SignedRational:
+    return _expand(_alpha_factor(Y))
 
 
 def alpha_iwahori_brute(Y: MonomialHermitian, p: int, d: int) -> Fraction:
@@ -314,12 +439,11 @@ def alpha_iwahori_brute(Y: MonomialHermitian, p: int, d: int) -> Fraction:
     """
     if Y.size != 2:
         raise ValueError("brute force covers 2x2 only")
+    _check_prime(p)
     if d > 2 or p > 5:
         raise BudgetError("budget: d <= 2 and p <= 5")
     if min(Y.e) < 0:
         raise ValueError("nonnegative exponents only")
-
-    from .locint import _nonresidue
 
     P = p ** d
     C = _nonresidue(p)
@@ -387,28 +511,56 @@ def _antidiag(e: int) -> MonomialHermitian:
     return make_monomial((2, 1), (e, e))
 
 
-def _term_n1(Y, B, prof) -> SignedRational:
-    g = gram_g(Y, B)
-    if g.num.is_zero():
-        return SR_ZERO
-    _, _, val = profile_f(Y, prof)
-    return g * val / alpha_iwahori_n1(Y)
+def _density_term(Y: MonomialHermitian, B: MonomialHermitian, prof: WeightProfile):
+    """gram_g(Y, B) * profile / alpha_iwahori_n1(Y) factored, None when zero."""
+    g = _gram_factor(Y, B)
+    if g is None:
+        return None
+    base_exp, slope = _profile_exps(Y, prof)
+    a = _alpha_factor(Y)
+    return g[0] / a[0], g[1] + base_exp + 2 * prof.r * slope - a[1], g[2] - a[2], g[3] - a[3]
 
 
-def _geo_tail(first: SignedRational, ratio: SignedRational) -> SignedRational:
-    """Closed form for first * (1 + ratio + ratio^2 + ...).
+def _ratio(later, first: tuple) -> tuple:
+    if later is None:
+        raise InvariantError("tail vanishes after a nonzero term")
+    return (later[0] / first[0], later[1] - first[1], later[2] - first[2],
+            later[3] - first[3])
 
-    The ratio must be a single power of s with negative exponent and
-    coefficient of absolute value at most 1, which makes the numeric series
-    converge at every prime.
+
+def _check_contracting(rho: tuple) -> None:
+    """The tail ratio must be c s^k with k < 0 and |c| <= 1, so the series converges at every prime."""
+    c, n, a, b = rho
+    if a or b:
+        raise InvariantError(f"tail ratio not monomial: {rho!r}")
+    if n >= 0 or abs(c) > 1:
+        raise InvariantError(f"tail ratio does not contract: {rho!r}")
+
+
+def _close(box: list, tails: dict) -> SignedRational:
+    """Exact sum of weighted box terms plus the tails.
+
+    box holds (weight, term) pairs; tails maps a tuple of ratios to the
+    (weight, first term) pairs of the series sharing them, each series
+    summing to first / prod(1 - ratio).  Everything goes over one common
+    denominator and is canonicalized once.
     """
-    num, den = ratio.num, ratio.den
-    if den != SL_ONE or not num.is_monomial():
-        raise AssertionError(f"tail ratio not monomial: {ratio!r}")
-    ((exp, coef),) = num.coeffs.items()
-    if exp >= 0 or abs(coef) > 1:
-        raise AssertionError(f"tail ratio does not contract: {ratio!r}")
-    return first / (SR_ONE - ratio)
+    every = box + [x for group in tails.values() for x in group]
+    if not every:
+        return SR_ZERO
+    low = tuple(min(t[i] for _, t in every) for i in (1, 2, 3))
+    num = _numerator(box, low)
+    den = SL_ONE
+    for ratios, group in tails.items():
+        prod = SL_ONE
+        for c, n, _, _ in ratios:
+            prod = prod * (SL_ONE - SignedLaurent.monomial(n, c))
+        num = num * prod + _numerator(group, low) * den
+        den = den * prod
+    n0, a0, b0 = low
+    num = num.shifted(n0) * _pm_poly(max(a0, 0), max(b0, 0))
+    den = den * _pm_poly(max(-a0, 0), max(-b0, 0))
+    return SignedRational(num, den)
 
 
 def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
@@ -425,89 +577,82 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
     prof = WeightProfile(1, h, t, r)
     K = max(abs(l) for l in B.e) + kink_pad
 
+    # the tail probes and corner walks revisit terms; memo per call only
+    @lru_cache(maxsize=None)
     def dterm(m1, m2):
-        return _term_n1(diagonal((m1, m2)), B, prof)
+        return _density_term(diagonal((m1, m2)), B, prof)
 
+    @lru_cache(maxsize=None)
     def aterm(e):
-        return _term_n1(_antidiag(e), B, prof)
+        return _density_term(_antidiag(e), B, prof)
 
-    def dslope(m1, m2):
-        return _min0(m1) + _min0(m2)
-
-    value = SR_ZERO
-    deriv = SR_ZERO
-
+    box, dbox = [], []
     for m1 in range(-K, K + 1):
         for m2 in range(-K, K + 1):
             tm = dterm(m1, m2)
-            if tm.num.is_zero():
+            if tm is None:
                 continue
-            value = value + tm
-            s = dslope(m1, m2)
+            box.append((1, tm))
+            s = _min0(m1) + _min0(m2)
             if s:
-                deriv = deriv + SignedRational(s) * tm
+                dbox.append((s, tm))
     for e in range(-K, K + 1):
         tm = aterm(e)
-        if tm.num.is_zero():
+        if tm is None:
             continue
-        value = value + tm
+        box.append((1, tm))
         s = 2 * _min0(e)
         if s:
-            deriv = deriv + SignedRational(s) * tm
+            dbox.append((s, tm))
 
     # below -K every term dies on a unit-region integral; spot check
     for probe in (dterm(-K - 1, 0), dterm(0, -K - 1), dterm(-K - 1, K + 1),
                   aterm(-K - 1)):
-        assert probe.num.is_zero(), "term survives below the cutoff"
+        if probe is not None:
+            raise InvariantError("term survives below the cutoff")
 
-    def strip(term_at, slope_const):
-        t1, t2, t3 = term_at(1), term_at(2), term_at(3)
-        if t1.num.is_zero():
-            assert t2.num.is_zero(), "tail restarts after a zero"
-            return SR_ZERO, SR_ZERO
-        rho = t2 / t1
-        assert t3 == t2 * rho, "tail is not geometric"
-        val = _geo_tail(t1, rho)
-        return val, SignedRational(slope_const) * val
+    tails: dict = {}
+    dtails: dict = {}
+
+    def strip(t1, t2, t3, slope):
+        if t1 is None:
+            if t2 is not None:
+                raise InvariantError("tail restarts after a zero")
+            return
+        rho = _ratio(t2, t1)
+        if t3 != _tmul(t2, rho):
+            raise InvariantError("tail is not geometric")
+        _check_contracting(rho)
+        tails.setdefault((rho,), []).append((1, t1))
+        if slope:
+            dtails.setdefault((rho,), []).append((slope, t1))
 
     for m2 in range(-K, K + 1):
-        v, dv = strip(lambda i, m2=m2: dterm(K + i, m2), _min0(m2))
-        value = value + v
-        deriv = deriv + dv
+        strip(dterm(K + 1, m2), dterm(K + 2, m2), dterm(K + 3, m2), _min0(m2))
     for m1 in range(-K, K + 1):
-        v, dv = strip(lambda i, m1=m1: dterm(m1, K + i), _min0(m1))
-        value = value + v
-        deriv = deriv + dv
-    av, adv = strip(lambda i: aterm(K + i), 0)
-    value = value + av
+        strip(dterm(m1, K + 1), dterm(m1, K + 2), dterm(m1, K + 3), _min0(m1))
+    strip(aterm(K + 1), aterm(K + 2), aterm(K + 3), 0)
 
-    # corner m1 >= m2 > K, walked along m1 and along the diagonal
-    v11 = dterm(K + 1, K + 1)
-    if not v11.num.is_zero():
-        rho1 = dterm(K + 2, K + 1) / v11
-        rhod = dterm(K + 2, K + 2) / v11
-        assert dterm(K + 3, K + 1) == dterm(K + 2, K + 1) * rho1
-        assert dterm(K + 3, K + 2) == dterm(K + 2, K + 2) * rho1
-        assert dterm(K + 3, K + 3) == dterm(K + 2, K + 2) * rhod
-        value = value + _geo_tail(_geo_tail(v11, rho1), rhod)
-    else:
-        assert dterm(K + 2, K + 1).num.is_zero()
-        assert dterm(K + 2, K + 2).num.is_zero()
+    def corner(i, j, di, dj):
+        # the cone from (i, j), walked along (di, dj) and along the diagonal
+        v, step, diag = dterm(i, j), dterm(i + di, j + dj), dterm(i + 1, j + 1)
+        if v is None:
+            if step is not None or diag is not None:
+                raise InvariantError("corner restarts after a zero")
+            return
+        rho, rhod = _ratio(step, v), _ratio(diag, v)
+        if (dterm(i + 2 * di, j + 2 * dj) != _tmul(step, rho)
+                or dterm(i + 1 + di, j + 1 + dj) != _tmul(diag, rho)
+                or dterm(i + 2, j + 2) != _tmul(diag, rhod)):
+            raise InvariantError("corner is not geometric")
+        _check_contracting(rho)
+        _check_contracting(rhod)
+        tails.setdefault((rho, rhod), []).append((1, v))
 
-    # corner m2 > m1 > K
-    v12 = dterm(K + 1, K + 2)
-    if not v12.num.is_zero():
-        rho2 = dterm(K + 1, K + 3) / v12
-        rhod = dterm(K + 2, K + 3) / v12
-        assert dterm(K + 1, K + 4) == dterm(K + 1, K + 3) * rho2
-        assert dterm(K + 2, K + 4) == dterm(K + 2, K + 3) * rho2
-        assert dterm(K + 3, K + 4) == dterm(K + 2, K + 3) * rhod
-        value = value + _geo_tail(_geo_tail(v12, rho2), rhod)
-    else:
-        assert dterm(K + 1, K + 3).num.is_zero()
-        assert dterm(K + 2, K + 3).num.is_zero()
+    corner(K + 1, K + 1, 1, 0)  # m1 >= m2 > K
+    corner(K + 1, K + 2, 0, 1)  # m2 > m1 > K
 
-    return value, deriv
+    return _close(box, tails), _close(dbox, dtails)
 
 
 def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
@@ -521,23 +666,26 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
         raise ValueError("n = 1 only")
     K = max(abs(l) for l in B.e) + 4
 
+    @lru_cache(maxsize=None)
+    def at_q(Y):
+        tm = _density_term(Y, B, prof)
+        return None if tm is None else _evaluate(tm, q)
+
     def partial(w):
         lo = -max(w, K)
         value = Fraction(0)
         deriv = Fraction(0)
         for m1 in range(lo, w + 1):
             for m2 in range(lo, w + 1):
-                tm = _term_n1(diagonal((m1, m2)), B, prof)
-                if tm.num.is_zero():
+                x = at_q(diagonal((m1, m2)))
+                if x is None:
                     continue
-                x = tm.evaluate(q)
                 value += x
                 deriv += (_min0(m1) + _min0(m2)) * x
         for e in range(lo, w + 1):
-            tm = _term_n1(_antidiag(e), B, prof)
-            if tm.num.is_zero():
+            x = at_q(_antidiag(e))
+            if x is None:
                 continue
-            x = tm.evaluate(q)
             value += x
             deriv += 2 * _min0(e) * x
         return value, deriv

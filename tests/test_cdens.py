@@ -21,7 +21,7 @@ from hermdens.cdens import (
 )
 from hermdens.reps import a_t, diagonal, dual_vee, make_monomial
 from hermdens.symb import SL_ONE, SignedRational, npq
-from hermdens.whit import w_density_n1
+from hermdens.whit import alpha_iwahori_brute, w_density_n1
 
 SAN_PAIRS = [(0, 0), (2, 0), (1, 1), (3, 1), (4, 2)]
 
@@ -241,3 +241,14 @@ class TestLatticeCounts:
             jcount_oracle((0, 0), (0, 0), 3, 1, "X")
         with pytest.raises(ValueError):
             jcount_oracle((0, 0), (0, 0, 0), 3, 3, "I")
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 9])
+def test_brute_oracles_need_odd_prime(p):
+    # each oracle rejects p before any budget check or counting
+    with pytest.raises(ValueError, match="odd prime"):
+        alpha_brute((1, 0), (1, 0), p, 1)
+    with pytest.raises(ValueError, match="odd prime"):
+        jcount_oracle((1, 0), (1, 0), p, 1, "J")
+    with pytest.raises(ValueError, match="odd prime"):
+        alpha_iwahori_brute(diagonal((0, 0)), p, 1)

@@ -119,6 +119,12 @@ class TestAlpha:
                               "--brute", "--q", "5", "--d", "3"])
         assert res.exit_code == 3
 
+    def test_brute_rejects_non_prime(self, runner):
+        res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "1,0",
+                              "--brute", "--q", "4", "--d", "1"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
 
 class TestJfunAndAppendix:
     def test_assembled_constant(self, runner):

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hermdens import whit
+from hermdens.errors import InvariantError
 from hermdens.locint import norm_integral
 from hermdens.reps import (
     WeightProfile,
@@ -212,8 +218,67 @@ def test_density_vanishes_at_t0():
 
 
 def test_density_kink_pad_invariance():
-    for B, h, t in ((A1, 1, 1), (diagonal((2, -1)), 1, 1), (diagonal((0, 1)), 2, 1)):
-        assert w_density_n1(B, h, t, kink_pad=4) == w_density_n1(B, h, t, kink_pad=6)
+    for B, h, t, r in ((A1, 1, 1, 0), (diagonal((2, -1)), 1, 1, 0), (diagonal((0, 1)), 2, 1, 0),
+                       (A1, 1, 1, 1), (diagonal((2, -1)), 0, 1, 1), (anti(1), 1, 1, 0),
+                       (anti(0), 2, 1, 1)):
+        assert w_density_n1(B, h, t, r, kink_pad=4) == w_density_n1(B, h, t, r, kink_pad=6)
+
+
+def test_factored_term_matches_product():
+    # independent route: gram, profile and stabilizer as SignedRationals
+    bs = [diagonal((l1, l2)) for l1 in (-1, 0, 2) for l2 in (-1, 0, 2)]
+    bs += [anti(l) for l in (-1, 0, 2)]
+    for h in (0, 1, 2):
+        for t in (0, 1):
+            for r in (0, 1):
+                prof = WeightProfile(1, h, t, r)
+                for Y in n1_forms(-2, 2):
+                    for B in bs:
+                        got = whit._density_term(Y, B, prof)
+                        want = gram_g(Y, B) * profile_f(Y, prof)[2] / alpha_iwahori_n1(Y)
+                        if got is None:
+                            assert want.is_zero(), (Y, B, prof)
+                        else:
+                            assert whit._expand(got) == want, (Y, B, prof)
+
+
+def test_slot_factor_rejects_unfactored_value(monkeypatch):
+    # 1 + s^2 has no root at s = +-1
+    monkeypatch.setattr(whit, "_slot_integral", lambda *key: {0: 1, 2: 1})
+    with pytest.raises(InvariantError):
+        whit._slot_factor.__wrapped__(True, "O", "", 0)
+
+
+# doubles every diagonal term in the column m1 = K + 3 (K = 5 for diag:0,-1)
+BENT_SCRIPT = """
+import sys
+from hermdens import whit
+from hermdens.errors import InvariantError
+from hermdens.reps import diagonal
+plain = whit._density_term
+def bent(Y, B, prof):
+    tm = plain(Y, B, prof)
+    if tm is not None and Y.is_diagonal() and Y.e[0] == 8:
+        tm = (2 * tm[0],) + tm[1:]
+    return tm
+whit._density_term = bent
+try:
+    whit.w_density_n1(diagonal((0, -1)), 1, 1)
+except InvariantError as exc:
+    print("raised", sys.flags.optimize, exc)
+"""
+
+
+@pytest.mark.parametrize("flags,optimize", [([], 0), (["-O"], 1)])
+def test_non_geometric_tail_raises(flags, optimize):
+    # in a child process, so the check is also seen with asserts stripped
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run([sys.executable, *flags, "-c", BENT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"raised {optimize} tail is not geometric"
 
 
 def test_density_truncated_report():
