@@ -14,8 +14,6 @@ Modules:
 from .symb import (
     SignedLaurent,
     SignedRational,
-    sl_eval,
-    sr_arith,
     geometric_sum,
     sr_solve_linear,
 )
@@ -23,8 +21,6 @@ from .symb import (
 __all__ = [
     "SignedLaurent",
     "SignedRational",
-    "sl_eval",
-    "sr_arith",
     "geometric_sum",
     "sr_solve_linear",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .symb import (
     SL_ONE,
     SL_ZERO,
@@ -35,7 +36,8 @@ def build_system(n: int, h: int):
     N = 2 * n + 1
     cut = 2 * n - h
     dual_pref = -4 * n * (n - h)
-    assert (2 * n - h) ** 2 - h ** 2 == 4 * n * (n - h)
+    if (2 * n - h) ** 2 - h ** 2 != 4 * n * (n - h):
+        raise InvariantError(f"dual prefactor identity fails at n={n}, h={h}")
     mat = []
     rhs = []
     for i in range(1, N + 1):

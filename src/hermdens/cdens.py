@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 from .locint import _check_prime, _nonresidue
 from .symb import SL_ONE, SR_ONE, SR_ZERO, SignedRational, npq, qpow
 
@@ -86,7 +86,8 @@ def _transition_factor(j: int, mu_c: Sequence[int], lt_c: Sequence[int]) -> Sign
     total = SR_ZERO
     for i in range(mj1, min(nxt, mj) + 1):
         twice = i * (2 * nxt + 1 - i)
-        assert twice % 2 == 0, (j, i, nxt)
+        if twice % 2:
+            raise InvariantError(f"odd exponent {twice}/2 at j={j}, i={i}, next part {nxt}")
         term = SignedRational(npq(twice // 2))
         term = term * gauss_bracket(nxt - mj1, nxt - i)
         term = term * gauss_bracket(top - i, top - mj)

@@ -11,10 +11,7 @@ Exit codes: 0 success, 1 internal failure or failed verification checks,
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import sys
 from fractions import Fraction
 
 import click
@@ -24,12 +21,8 @@ from .errors import BudgetError
 from .reps import MonomialHermitian, WeightProfile, parse_monomial
 from .symb import SignedLaurent, SignedRational
 
-ARTIFACT_VERSION = __version__
-
 _REGION_NAMES = {"O": "O", "unit": "O_unit", "O_unit": "O_unit",
                  "pi": "piO", "piO": "piO"}
-
-_CONFIG_KEYS = ("cache", "decimal", "jobs", "json")
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +51,19 @@ def to_doc(x):
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
-def _decimal_str(value, places: int) -> str:
-    return format(float(value), f".{places}g")
+def _attach_decimal(ctx, out: dict, at_q: int) -> None:
+    """With --decimal K, add K-digit display strings of the exact value (and derivative) at q."""
+    places = ctx.obj["decimal"]
+    if not places:
+        return
+    block = {"at_q": at_q, "note": "display only, exact fields are authoritative"}
+    for name in ("value", "derivative"):
+        if name in out:
+            x = out[name]
+            if isinstance(x, (SignedLaurent, SignedRational)):
+                x = x.evaluate(at_q)
+            block[name] = format(float(x), f".{places}g")
+    out["decimal"] = block
 
 
 def _emit(ctx, doc: dict):
@@ -71,106 +75,11 @@ def _emit(ctx, doc: dict):
     click.echo(text)
 
 
-# ---------------------------------------------------------------------------
-# cache: append-only JSON lines
-
-def _request_key(request: dict) -> str:
-    canon = json.dumps(request, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(f"{canon}|v{ARTIFACT_VERSION}".encode()).hexdigest()
-
-
-def _cache_scan(path: str):
-    """Yield (key, value) for well-formed lines; warn and skip the rest."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    key, value = row["key"], row["value"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    click.echo(f"cache: skipping corrupt line {ln}", err=True)
-                    continue
-                if row.get("version") != ARTIFACT_VERSION:
-                    continue
-                yield key, value
-    except FileNotFoundError:
-        return
-
-
-def _cache_get(path: str, key: str):
-    found = None
-    for k, v in _cache_scan(path):
-        if k == key:
-            found = v
-    return found
-
-
-def _cache_put(path: str, key: str, value) -> None:
-    row = json.dumps({"key": key, "version": ARTIFACT_VERSION, "value": value},
-                     sort_keys=True, separators=(",", ":"))
-    data = (row + "\n").encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
-
-
 def _deliver(ctx, request: dict, build):
-    """Cache-aware result path shared by the compute commands."""
-    key = _request_key(request)
-    path = ctx.obj["cache"]
-    if path:
-        hit = _cache_get(path, key)
-        if hit is not None:
-            click.echo(f"cache: hit {key[:12]}", err=True)
-            _emit(ctx, hit)
-            return
+    """Result path shared by the compute commands: echo the request, then build."""
     doc = {"request": request}
     doc.update(build())
-    doc = to_doc(doc)
-    if path:
-        _cache_put(path, key, doc)
-        click.echo(f"cache: store {key[:12]}", err=True)
-    _emit(ctx, doc)
-
-
-# ---------------------------------------------------------------------------
-# config file: KEY=VALUE lines, flags win
-
-def _load_config(path) -> dict:
-    out = {}
-    if not path:
-        path = os.environ.get("HERMDENS_CONFIG")
-    if not path or not os.path.exists(path):
-        return out
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                click.echo(f"config: ignoring malformed line {ln}", err=True)
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip().lower()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                click.echo(f"config: unknown key {key!r}", err=True)
-                continue
-            if key in ("decimal", "jobs"):
-                try:
-                    out[key] = int(value)
-                except ValueError:
-                    click.echo(f"config: bad integer for {key}", err=True)
-            elif key == "json":
-                out[key] = value.lower() in ("1", "true", "yes")
-            else:
-                out[key] = value
-    return out
+    _emit(ctx, to_doc(doc))
 
 
 def _ints(text: str) -> tuple:
@@ -208,35 +117,17 @@ def _guard(ctx, fn):
 # command group
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="KEY=VALUE settings file (HERMDENS_CONFIG is the fallback).")
-@click.option("--cache", "cache_path", type=click.Path(), default=None,
-              help="Append-only JSON lines result cache.")
-@click.option("--json", "compact", is_flag=True, default=None,
+@click.option("--json", "compact", is_flag=True,
               help="Compact single-line JSON output.")
-@click.option("--decimal", type=int, default=None, metavar="K",
+@click.option("--decimal", type=int, default=0, metavar="K",
               help="Attach K significant digit decimals (display only).")
-@click.option("--jobs", type=int, default=None, metavar="N",
-              help="Worker processes for oracle sweeps.")
 @click.version_option(version=__version__)
 @click.pass_context
-def main(ctx, config_path, cache_path, compact, decimal, jobs):
+def main(ctx, compact, decimal):
     """Exact densities, correction constants and tree intersections."""
-    settings = {"cache": None, "decimal": 0, "jobs": 1, "json": False}
-    settings.update(_load_config(config_path))
-    if cache_path is not None:
-        settings["cache"] = cache_path
-    if compact is not None:
-        settings["json"] = compact
-    if decimal is not None:
-        settings["decimal"] = decimal
-    if jobs is not None:
-        settings["jobs"] = jobs
-    if settings["jobs"] < 1:
-        raise click.UsageError("--jobs must be at least 1")
-    if settings["decimal"] < 0:
+    if decimal < 0:
         raise click.UsageError("--decimal must be nonnegative")
-    ctx.obj = settings
+    ctx.obj = {"json": compact, "decimal": decimal}
 
 
 @main.command()
@@ -273,9 +164,7 @@ def integral(ctx, kind, regions, e, oracle, p, depth):
         else:
             value = trace_integral_J1(e)
         out = {"value": value}
-        if ctx.obj["decimal"]:
-            out["decimal"] = {"value": _decimal_str(value.evaluate(3), ctx.obj["decimal"]),
-                              "at_q": 3, "note": "display only, exact fields are authoritative"}
+        _attach_decimal(ctx, out, 3)
         if oracle:
             d = depth if depth is not None else abs(e) + 2
             got = charsum_oracle(p, kind, regs if kind == "trace_pair" else regs[0], e, d)
@@ -323,24 +212,14 @@ def wdens(ctx, n, h, t, b_text, symbolic, q, emin, emax, r, derivative):
             out = {"value": value}
             if derivative:
                 out["derivative"] = prime
-            if ctx.obj["decimal"]:
-                dec = {"value": _decimal_str(value.evaluate(3), ctx.obj["decimal"]),
-                       "at_q": 3, "note": "display only, exact fields are authoritative"}
-                if derivative:
-                    dec["derivative"] = _decimal_str(prime.evaluate(3), ctx.obj["decimal"])
-                out["decimal"] = dec
+            _attach_decimal(ctx, out, 3)
             return out
         window = max(abs(emin), abs(emax))
         got = w_density_truncated(B, WeightProfile(1, h, t, r), q, window)
         out = {"value": got["value"], "tail_report": got["tail_report"]}
         if derivative:
             out["derivative"] = got["derivative"]
-        if ctx.obj["decimal"]:
-            dec = {"value": _decimal_str(got["value"], ctx.obj["decimal"]),
-                   "at_q": q, "note": "display only, exact fields are authoritative"}
-            if derivative:
-                dec["derivative"] = _decimal_str(got["derivative"], ctx.obj["decimal"])
-            out["decimal"] = dec
+        _attach_decimal(ctx, out, q)
         return out
 
     _guard(ctx, lambda: _deliver(ctx, request, build))
@@ -419,9 +298,7 @@ def alpha(ctx, xi, lam, with_prime, pad, brute, q, d):
         out = {"coefficients": list(coeffs), "value": value}
         if with_prime:
             out["prime"] = alpha_prime(coeffs)
-        if ctx.obj["decimal"]:
-            out["decimal"] = {"value": _decimal_str(value.evaluate(3), ctx.obj["decimal"]),
-                              "at_q": 3, "note": "display only, exact fields are authoritative"}
+        _attach_decimal(ctx, out, 3)
         if brute:
             counted = alpha_brute(xi_t + (0,) * pad, lam_t, q, d)
             out["brute"] = {"p": q, "d": d, "value": counted,
@@ -446,9 +323,7 @@ def jfun(ctx, t, b_text):
     def build():
         value = jfun_n1(t, B)
         out = {"value": value}
-        if ctx.obj["decimal"]:
-            out["decimal"] = {"value": _decimal_str(value.evaluate(3), ctx.obj["decimal"]),
-                              "at_q": 3, "note": "display only, exact fields are authoritative"}
+        _attach_decimal(ctx, out, 3)
         return out
 
     _guard(ctx, lambda: _deliver(ctx, request, build))
@@ -516,7 +391,7 @@ def verify(ctx, suite, q):
     from .verify import run_suite
 
     def run():
-        report = run_suite(suite, q=q, jobs=ctx.obj["jobs"])
+        report = run_suite(suite, q=q)
         if ctx.obj["json"]:
             _emit(ctx, to_doc(report))
         else:
@@ -531,56 +406,6 @@ def verify(ctx, suite, q):
             ctx.exit(1)
 
     _guard(ctx, run)
-
-
-@main.group()
-def cache():
-    """Inspect or edit the result cache."""
-
-
-@cache.command("stats")
-@click.pass_context
-def cache_stats(ctx):
-    path = ctx.obj["cache"]
-    if not path:
-        raise click.UsageError("no cache file configured (use --cache)")
-    entries = 0
-    keys = set()
-    for k, _ in _cache_scan(path):
-        entries += 1
-        keys.add(k)
-    _emit(ctx, {"path": path, "entries": entries, "distinct_keys": len(keys),
-                "version": ARTIFACT_VERSION})
-
-
-@cache.command("get")
-@click.option("--key", required=True)
-@click.pass_context
-def cache_get(ctx, key):
-    path = ctx.obj["cache"]
-    if not path:
-        raise click.UsageError("no cache file configured (use --cache)")
-    value = _cache_get(path, key)
-    if value is None:
-        click.echo("key not found", err=True)
-        ctx.exit(2)
-    _emit(ctx, value)
-
-
-@cache.command("put")
-@click.option("--key", required=True)
-@click.option("--value", "value_text", required=True, metavar="JSON")
-@click.pass_context
-def cache_put(ctx, key, value_text):
-    path = ctx.obj["cache"]
-    if not path:
-        raise click.UsageError("no cache file configured (use --cache)")
-    try:
-        value = json.loads(value_text)
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"--value is not valid JSON: {exc}")
-    _cache_put(path, key, value)
-    click.echo(f"stored {key[:12]}", err=True)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
+from .errors import InvariantError
+
 
 @dataclass(frozen=True)
 class MonomialHermitian:
@@ -182,7 +184,8 @@ def classify(Y: MonomialHermitian, h: int) -> IndexClasses:
                 b2.add(j)
     frak_a = sum(1 for j in a1 | a2 if Y.e_of(j) <= -1)
     frak_c = sum(1 for j in c1 | c2 if Y.e_of(j) <= 0)
-    assert len(b1) == len(b2)
+    if len(b1) != len(b2):
+        raise InvariantError(f"unbalanced crossing classes {sorted(b1)} and {sorted(b2)}")
     return IndexClasses(frozenset(a1), frozenset(a2), frozenset(b1),
                         frozenset(b2), frozenset(c1), frozenset(c2),
                         frak_a, frak_c, len(b1))

@@ -450,26 +450,6 @@ def _coerce_sr(x):
 # named operations
 
 
-def sl_eval(p: SignedLaurent, q) -> Fraction:
-    """Evaluate a SignedLaurent at s = -q."""
-    return p.evaluate(q)
-
-
-def sr_arith(a, b, op: str) -> SignedRational:
-    """Dispatch arithmetic on SignedRationals by operation name."""
-    a = _coerce_sr(a)
-    b = _coerce_sr(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def geometric_sum(first: SignedLaurent, ratio: SignedLaurent, count) -> SignedRational:
     """Sum of a geometric progression, exactly.
 

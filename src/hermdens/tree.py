@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,14 @@ def intersect_zy(inst: TreeInstance) -> dict:
         out = {"case": inst.case, "total": total, "diff_sum": diff_sum}
         if inst.case == 1:
             closed = 1 + q * (q ** inst.m_y - 1) / (q - 1)
-            assert diff_sum == closed, (inst, diff_sum, closed)
+            if diff_sum != closed:
+                raise InvariantError(f"engulfed sum {diff_sum} is not its closed form {closed}: {inst}")
         return out
     vert = vertical_pairing(inst)
     horiz = Fraction(mult_m(inst.m_x, inst.d)) if inst.d <= inst.m_x else Fraction(0)
     total = vert + horiz
-    assert total == inst.r + 1, (inst, total)
+    if total != inst.r + 1:
+        raise InvariantError(f"overlapping total {total} is not r + 1 = {inst.r + 1}: {inst}")
     return {"case": 3, "total": total, "vertical": vert, "horizontal": horiz}
 
 

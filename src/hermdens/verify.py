@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -113,10 +112,6 @@ class Recorder:
                                  f"{bad} mismatches of {total}", "0 mismatches",
                                  round(el, 6)))
 
-    def record(self, cid: str, anchor: str, ok: bool, lhs: str, rhs: str, elapsed: float):
-        self.checks.append(Check(cid, anchor, "pass" if ok else "fail",
-                                 lhs, rhs, round(elapsed, 6)))
-
 
 # ---------------------------------------------------------------------------
 # small shared sweeps
@@ -137,33 +132,19 @@ def _shape_bs(h: int, lo: int = -1, hi: int = 2):
 # ---------------------------------------------------------------------------
 # integral tables
 
-def _integral_case(args):
-    p, kind, regs, e = args
-    t0 = time.perf_counter()
-    d = abs(e) + 2
-    if kind == "norm":
-        lhs = norm_integral(regs[0], e).evaluate(p)
-        rhs = charsum_oracle(p, "norm", regs[0], e, d)
-    else:
-        lhs = trace_pair_integral(regs[0], regs[1], e).evaluate(p)
-        rhs = charsum_oracle(p, "trace_pair", regs, e, d)
-    return args, str(lhs), str(rhs), lhs == rhs, time.perf_counter() - t0
-
-
-def _suite_integrals(rec: Recorder, q: int, jobs: int):
+def _suite_integrals(rec: Recorder, q: int):
     es = range(-3, 4) if q <= 5 else range(-2, 3)
-    cases = [(q, "norm", (r,), e) for r in REGIONS for e in es]
-    cases += [(q, "trace_pair", (r1, r2), e)
-              for i, r1 in enumerate(REGIONS) for r2 in REGIONS[i:] for e in es]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_integral_case, cases))
-    else:
-        results = [_integral_case(c) for c in cases]
-    for (p, kind, regs, e), lhs, rhs, ok, el in results:
-        cid = f"{kind}[{','.join(regs)};e={e};p={p}]"
-        anchor = "integrals/norm-table" if kind == "norm" else "integrals/trace-table"
-        rec.record(cid, anchor, ok, lhs, rhs, el)
+    for r in REGIONS:
+        for e in es:
+            rec.equal(f"norm[{r};e={e};p={q}]", "integrals/norm-table",
+                      lambda: (norm_integral(r, e).evaluate(q),
+                               charsum_oracle(q, "norm", r, e, abs(e) + 2)))
+    for i, r1 in enumerate(REGIONS):
+        for r2 in REGIONS[i:]:
+            for e in es:
+                rec.equal(f"trace_pair[{r1},{r2};e={e};p={q}]", "integrals/trace-table",
+                          lambda: (trace_pair_integral(r1, r2, e).evaluate(q),
+                                   charsum_oracle(q, "trace_pair", (r1, r2), e, abs(e) + 2)))
     rec.sweep("j1-indicator[e=-3..3]", "integrals/j1-indicator",
               ((trace_integral_J1(e), SignedRational(1 if e >= 0 else 0))
                for e in range(-3, 4)))
@@ -172,7 +153,7 @@ def _suite_integrals(rec: Recorder, q: int, jobs: int):
 # ---------------------------------------------------------------------------
 # slot integral symmetry of the pairing
 
-def _suite_gram_duality(rec: Recorder, q: int, jobs: int):
+def _suite_gram_duality(rec: Recorder, q: int):
     ys1 = _n1_forms(-2, 2)
     for h in (0, 1, 2):
         rec.sweep(f"pairing-swap-n1[h={h}]", "gram-duality/n1-full",
@@ -195,7 +176,7 @@ def _suite_gram_duality(rec: Recorder, q: int, jobs: int):
     rec.sweep("pairing-swap-n3[random-100]", "gram-duality/n3-random", pairs3)
 
 
-def _suite_alpha_duality(rec: Recorder, q: int, jobs: int):
+def _suite_alpha_duality(rec: Recorder, q: int):
     for h in (0, 1, 2):
         scale = SignedRational(qpow((2 - h) ** 2 - h * h))
         ys = [diagonal((e1, e2)) for e1 in range(-2, 4) for e2 in range(-2, 4)]
@@ -209,7 +190,7 @@ def _suite_alpha_duality(rec: Recorder, q: int, jobs: int):
                        alpha_iwahori_n1(diagonal((1, 0))).evaluate(p)))
 
 
-def _suite_profile_forms(rec: Recorder, q: int, jobs: int):
+def _suite_profile_forms(rec: Recorder, q: int):
     ys1 = _n1_forms(-2, 2)
     for h in (0, 1, 2):
         for t in (0, 1):
@@ -236,7 +217,7 @@ def _suite_profile_forms(rec: Recorder, q: int, jobs: int):
     rec.sweep("prime-difference-n1[all-h]", "profile-forms/prime-difference", diff_pairs())
 
 
-def _suite_iwahori_sum(rec: Recorder, q: int, jobs: int):
+def _suite_iwahori_sum(rec: Recorder, q: int):
     unit_sq = SignedRational(SL_ONE - npq(1)) ** 2
     rec.equal("top-density-closed[A1]", "iwahori-sum/top-closed",
               lambda: (w_density_n1(A1, 1, 1)[0], SignedRational(qpow(-5)) * unit_sq))
@@ -256,7 +237,7 @@ def _suite_iwahori_sum(rec: Recorder, q: int, jobs: int):
 # ---------------------------------------------------------------------------
 # correction constants
 
-def _suite_beta_system(rec: Recorder, q: int, jobs: int):
+def _suite_beta_system(rec: Recorder, q: int):
     rec.equal("first-constant[h=0]", "beta-system/first-constants",
               lambda: (solve_constants(1, 0).beta_h[0],
                        SignedRational(npq(-2)) / SignedRational(npq(2) - SL_ONE)))
@@ -278,7 +259,7 @@ def _suite_beta_system(rec: Recorder, q: int, jobs: int):
                for h in range(0, 5)))
 
 
-def _suite_beta_closed_form(rec: Recorder, q: int, jobs: int):
+def _suite_beta_closed_form(rec: Recorder, q: int):
     rec.sweep("closed-last[n=1..4]", "beta-closed/top-constant",
               ((solve_constants(n, n - 1).beta_h[n - 1], beta_closed_last(n))
                for n in (1, 2, 3, 4)))
@@ -303,7 +284,7 @@ def _alpha_ratio(target_exps):
     return num / den
 
 
-def _suite_jfun_unimodular(rec: Recorder, q: int, jobs: int):
+def _suite_jfun_unimodular(rec: Recorder, q: int):
     for a in (0, 2, 4):
         rec.equal(f"coset-route[a={a}]", "jfun/unimodular-route",
                   lambda a=a: (jfun_n1(1, diagonal((a, -1))), _alpha_ratio((a,))))
@@ -314,7 +295,7 @@ def _suite_jfun_unimodular(rec: Recorder, q: int, jobs: int):
                        SignedRational(-1) / SignedRational(SL_ONE - npq(1))))
 
 
-def _suite_jfun_duality(rec: Recorder, q: int, jobs: int):
+def _suite_jfun_duality(rec: Recorder, q: int):
     forms = [diagonal((0, 0)), diagonal((2, 0)), diagonal((1, 1)), A1]
     rec.sweep("vee-invariance[4-forms]", "jfun/vee-invariance",
               ((jfun_n1(1, B), jfun_n1(1, dual_vee(B, 1))) for B in forms))
@@ -323,13 +304,13 @@ def _suite_jfun_duality(rec: Recorder, q: int, jobs: int):
                   lambda c=c: (jfun_n1(1, diagonal((0, c))), _alpha_ratio((c + 1,))))
 
 
-def _suite_jfun_h0(rec: Recorder, q: int, jobs: int):
+def _suite_jfun_h0(rec: Recorder, q: int):
     for a, b in ((0, 0), (1, 1), (2, 0)):
         rec.equal(f"h0-display[a={a},b={b}]", "jfun/h0-display",
                   lambda a=a, b=b: ((lambda d: (d["lhs"], d["rhs"]))(thm42_display(a, b))))
 
 
-def _suite_jfun_assembly(rec: Recorder, q: int, jobs: int):
+def _suite_jfun_assembly(rec: Recorder, q: int):
     pairs = ((0, 0), (2, 0), (1, 1), (3, 1), (4, 2))
     rec.sweep("assembled-value[5-pairs]", "jfun/assembly",
               ((jfun_n1(1, diagonal((a, b))), SignedRational(Fraction(a + b, 2) + 1))
@@ -339,7 +320,7 @@ def _suite_jfun_assembly(rec: Recorder, q: int, jobs: int):
 # ---------------------------------------------------------------------------
 # tree side
 
-def _suite_tree(rec: Recorder, q: int, jobs: int):
+def _suite_tree(rec: Recorder, q: int):
     def case3_pairs():
         for m_x in range(0, 6):
             for m_y in range(0, 6):
@@ -403,7 +384,7 @@ def _suite_tree(rec: Recorder, q: int, jobs: int):
 # ---------------------------------------------------------------------------
 # classical densities
 
-def _suite_closed_products(rec: Recorder, q: int, jobs: int):
+def _suite_closed_products(rec: Recorder, q: int):
     def a5_pairs():
         for n in (1, 2, 3):
             for r in (0, 1, 2):
@@ -424,7 +405,7 @@ def _suite_closed_products(rec: Recorder, q: int, jobs: int):
     rec.sweep("product-form[m<=2]", "cdens/product-form", unimodular_pairs())
 
 
-def _suite_partition_sums(rec: Recorder, q: int, jobs: int):
+def _suite_partition_sums(rec: Recorder, q: int):
     rec.equal("pinned-coefficients", "cdens/pinned-case",
               lambda: (tuple(str(c) for c in hironaka_coeffs((1, 0), (0, 0))),
                        tuple(str(c) for c in (
@@ -453,7 +434,7 @@ def _suite_partition_sums(rec: Recorder, q: int, jobs: int):
     rec.sweep("padding-independence[n<=2,r<=2]", "cdens/padding", pad_pairs())
 
 
-def _suite_appendix_compat(rec: Recorder, q: int, jobs: int):
+def _suite_appendix_compat(rec: Recorder, q: int):
     def identity_pairs():
         for n in (1, 2):
             for top in range(0, 4):
@@ -477,7 +458,7 @@ def _suite_appendix_compat(rec: Recorder, q: int, jobs: int):
               Fraction(1, 10 ** 9))
 
 
-def _suite_count_bridge(rec: Recorder, q: int, jobs: int):
+def _suite_count_bridge(rec: Recorder, q: int):
     rec.equal("unimodular-stabilization[d=1,2]", "bridge/stabilization",
               lambda: (jcount_oracle((0, 0), (0, 0), 3, 1, kind="I").scaled,
                        jcount_oracle((0, 0), (0, 0), 3, 2, kind="I").scaled))
@@ -548,13 +529,13 @@ def resolve_suite(name: str) -> str:
     raise ValueError(f"unknown suite {name!r}; try one of {', '.join(suite_names())}")
 
 
-def run_suite(name: str, q: int = 3, jobs: int = 1) -> dict:
+def run_suite(name: str, q: int = 3) -> dict:
     canonical = resolve_suite(name)
     rec = Recorder()
     t0 = time.perf_counter()
     targets = list(SUITES) if canonical == "all" else [canonical]
     for t in targets:
-        SUITES[t](rec, q, jobs)
+        SUITES[t](rec, q)
     elapsed = time.perf_counter() - t0
     failed = sum(1 for c in rec.checks if c.status != "pass")
     return {

@@ -302,7 +302,8 @@ def gram_fingerprint(Y: MonomialHermitian, B: MonomialHermitian) -> tuple:
         poly = _gram_dicts(Y, B).num.coeffs
         low = min(poly)
         for e, c in poly.items():
-            assert abs(c.numerator) < _DIGIT_HALF
+            if abs(c.numerator) >= _DIGIT_HALF:
+                raise InvariantError(f"gram coefficient {c} overflows a packed digit")
             acc += c.numerator << (_DIGIT_BITS * (e - low))
     mask = _DIGIT_BASE - 1
     while acc and not acc & mask:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-import hermdens.cli as climod
 from hermdens.cli import main
 
 
@@ -183,73 +182,20 @@ class TestVerifyCommand:
         assert invoke(runner, ["verify", "--suite", "nope"]).exit_code == 2
 
 
-class TestCache:
-    def test_hit_does_not_grow_file(self, runner, tmp_path):
-        path = tmp_path / "c.jsonl"
-        args = ["--cache", str(path), "--json", "jfun", "--t", "1", "--B", "diag:0,0"]
-        a = invoke(runner, args)
-        b = invoke(runner, args)
-        assert a.stdout == b.stdout
-        assert len(path.read_text().splitlines()) == 1
-        assert "hit" in b.stderr
-
-    def test_corrupt_line_skipped(self, runner, tmp_path):
-        path = tmp_path / "c.jsonl"
-        args = ["--cache", str(path), "--json", "jfun", "--t", "1", "--B", "diag:0,0"]
-        invoke(runner, args)
-        with open(path, "a") as fh:
-            fh.write("{not json\n")
-        res = invoke(runner, args)
-        assert res.exit_code == 0
-        assert "corrupt" in res.stderr
-        assert "hit" in res.stderr
-
-    def test_version_bump_misses(self, runner, tmp_path, monkeypatch):
-        path = tmp_path / "c.jsonl"
-        args = ["--cache", str(path), "--json", "jfun", "--t", "1", "--B", "diag:0,0"]
-        invoke(runner, args)
-        monkeypatch.setattr(climod, "ARTIFACT_VERSION", "999")
-        res = invoke(runner, args)
-        assert "store" in res.stderr
-        assert len(path.read_text().splitlines()) == 2
-
-    def test_get_put_stats(self, runner, tmp_path):
-        path = tmp_path / "c.jsonl"
-        put = invoke(runner, ["--cache", str(path), "cache", "put",
-                              "--key", "abc", "--value", '{"x": 1}'])
-        assert put.exit_code == 0
-        got = invoke(runner, ["--cache", str(path), "--json", "cache", "get",
-                              "--key", "abc"])
-        assert out_json(got) == {"x": 1}
-        stats = invoke(runner, ["--cache", str(path), "--json", "cache", "stats"])
-        assert out_json(stats)["entries"] == 1
-        missing = invoke(runner, ["--cache", str(path), "cache", "get",
-                                  "--key", "zzz"])
-        assert missing.exit_code == 2
-
-    def test_no_cache_configured(self, runner):
-        assert invoke(runner, ["cache", "stats"]).exit_code == 2
-
-
-class TestConfig:
-    def test_file_sets_decimal_flag_overrides(self, runner, tmp_path):
-        conf = tmp_path / "conf"
-        conf.write_text("decimal=4\nunknown_key=1\n")
-        res = invoke(runner, ["--config", str(conf), "--json",
-                              "jfun", "--t", "1", "--B", "diag:0,0"])
-        assert "decimal" in out_json(res)
-        assert "unknown key" in res.stderr
-        res2 = invoke(runner, ["--config", str(conf), "--decimal", "0", "--json",
-                               "jfun", "--t", "1", "--B", "diag:0,0"])
-        assert "decimal" not in out_json(res2)
-
-    def test_env_var_fallback(self, runner, tmp_path, monkeypatch):
+class TestGlobalOptions:
+    def test_only_json_and_decimal(self, runner, tmp_path, monkeypatch):
+        # --json and --decimal are the only settings; no file or environment variable sets them
+        for removed in (["--cache", str(tmp_path / "c.jsonl")],
+                        ["--config", str(tmp_path / "conf")],
+                        ["--jobs", "2"]):
+            res = invoke(runner, [*removed, "jfun", "--t", "1", "--B", "diag:0,0"])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+        args = ["--json", "jfun", "--t", "1", "--B", "diag:0,0"]
+        plain = invoke(runner, args)
         conf = tmp_path / "conf"
         conf.write_text("decimal=3\n")
         monkeypatch.setenv("HERMDENS_CONFIG", str(conf))
-        res = invoke(runner, ["--json", "jfun", "--t", "1", "--B", "diag:0,0"])
-        assert out_json(res)["decimal"]["value"] == "1"
-
-    def test_jobs_validation(self, runner):
-        res = invoke(runner, ["--jobs", "0", "verify", "--suite", "jfun-h0"])
-        assert res.exit_code == 2
+        res = invoke(runner, args)
+        assert res.exit_code == 0
+        assert res.stdout == plain.stdout

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +137,29 @@ def test_vertical_pairing_spot():
                                   TreeInstance(3, 3, 1, 2)])
 def test_cross_check_density_side(inst):
     assert cross_check_jfun(inst)["match"]
+
+
+# shifts the vertical pairing by one, so a case-3 total misses r + 1
+SHIFTED_SCRIPT = """
+import sys
+from hermdens import tree
+from hermdens.errors import InvariantError
+plain = tree.vertical_pairing
+tree.vertical_pairing = lambda inst: plain(inst) + 1
+try:
+    tree.intersect_zy(tree.TreeInstance(3, 3, 2, 1))
+except InvariantError as exc:
+    print("raised", sys.flags.optimize, exc)
+"""
+
+
+@pytest.mark.parametrize("flags,optimize", [([], 0), (["-O"], 1)])
+def test_wrong_overlapping_total_raises(flags, optimize):
+    # in a child process, so the check is also seen with asserts stripped
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run([sys.executable, *flags, "-c", SHIFTED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"raised {optimize} overlapping total 4 is not r + 1 = 3")
