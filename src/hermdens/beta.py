@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .symb import (
     SL_ONE,
     SL_ZERO,
@@ -27,6 +27,9 @@ from .symb import (
     npq,
     sr_solve_linear,
 )
+
+# the exact elimination costs about 2.5-3x more per step in n
+SOLVE_MAX_N = 8
 
 
 def build_system(n: int, h: int):
@@ -61,6 +64,8 @@ class BetaSolution:
 
 def solve_constants(n: int, h: int) -> BetaSolution:
     """Solve the system; the middle block carries a sign flip by convention."""
+    if n > SOLVE_MAX_N:
+        raise BudgetError(f"exact solve limited to n <= {SOLVE_MAX_N}, got n={n}")
     mat, rhs = build_system(n, h)
     vec = sr_solve_linear(mat, rhs)
     beta_h = tuple(vec[:n])

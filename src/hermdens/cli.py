@@ -6,7 +6,7 @@ as numerator/denominator coefficient tables plus a readable string; any
 decimal field is display-only and says so.
 
 Exit codes: 0 success, 1 internal failure or failed verification checks,
-2 invalid request, 3 brute-force budget exceeded.
+2 invalid request, 3 safety budget exceeded.
 """
 
 from __future__ import annotations

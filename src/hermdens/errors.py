@@ -9,7 +9,7 @@ check survives `python -O`, and the command line maps it to exit 1.
 
 
 class BudgetError(ValueError):
-    """A brute-force request exceeds the built-in safety budget."""
+    """A request exceeds a built-in safety budget."""
 
 
 class InvariantError(ArithmeticError):

@@ -9,7 +9,8 @@ of a product of three factors:
 
 Everything stays exact.  Each of the three factors, and so each term, has
 the form c s^N (s-1)^A (s+1)^B and is carried as the tuple (c, N, A, B) with c
-a nonzero Fraction; the form is unique, so tuple equality is value equality.
+a nonzero rational (an int for slot and gram values); the form is unique, so
+tuple equality is value equality.
 The finite kink region is summed over one common denominator and
 canonicalized once; the tails beyond it are geometric, which the code checks
 as exponent differences before summing them in closed form.
@@ -43,12 +44,11 @@ def _slot_region(k: int, j: int) -> str:
     return "piO"
 
 
-@lru_cache(maxsize=None)
 def _slot_integral(fixed: bool, r1: str, r2: str, exp: int):
     """Slot table value as a plain exponent -> int dict, None when zero.
 
     Every table value is a polynomial in s with integer coefficients; the
-    gram product convolves those dicts and wraps the result once.
+    dict is only the input to _slot_factor.
     """
     fac = norm_integral(r1, exp) if fixed else trace_pair_integral(r1, r2, exp)
     if fac.den != SL_ONE:
@@ -80,7 +80,8 @@ def _slot_factor(fixed: bool, r1: str, r2: str, exp: int):
     """Slot table value as a factored term (c, N, A, B), None when zero.
 
     Synthetic division strips (s - 1) and then (s + 1) while the remainder
-    vanishes; what is left of the table value must be a constant.
+    vanishes; what is left of the table value must be a constant, and it is
+    an int because _slot_integral rejects fractional coefficients.
     """
     poly = _slot_integral(fixed, r1, r2, exp)
     if poly is None:
@@ -99,7 +100,7 @@ def _slot_factor(fixed: bool, r1: str, r2: str, exp: int):
         mult.append(k)
     if len(coeffs) != 1:
         raise InvariantError(f"slot value does not factor over s, s - 1, s + 1: {poly}")
-    return Fraction(coeffs[0]), low, mult[0], mult[1]
+    return coeffs[0], low, mult[0], mult[1]
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ def _pm_poly(a: int, b: int) -> SignedLaurent:
 
 def _expand(term: tuple) -> SignedRational:
     c, n, a, b = term
-    num = SignedLaurent.monomial(n, c) * _pm_poly(max(a, 0), max(b, 0))
+    num = SignedLaurent({e: c * x for e, x in enumerate(_pm_coeffs(max(a, 0), max(b, 0)), n)})
     return SignedRational(num, _pm_poly(max(-a, 0), max(-b, 0)))
 
 
@@ -157,34 +158,6 @@ def _evaluate(term: tuple, q: int) -> Fraction:
     return c * s ** n * (s - 1) ** a * (s + 1) ** b
 
 
-# The gram product multiplies dozens of tiny integer Laurent polynomials.
-# Packing one signed coefficient per 128-bit digit turns each polynomial
-# multiply into a single big-int multiply; the digits never collide because
-# the product of the per-slot coefficient abs-sums bounds every coefficient
-# of the product, and we check that bound before trusting the decode.
-_DIGIT_BITS = 128
-_DIGIT_BASE = 1 << _DIGIT_BITS
-_DIGIT_HALF = _DIGIT_BASE >> 1
-
-
-@lru_cache(maxsize=None)
-def _slot_packed(fixed: bool, r1: str, r2: str, exp: int):
-    """Slot value as (packed, low, weight); None when the value is zero.
-
-    packed = sum of c_e << (_DIGIT_BITS * (e - low)), weight = sum |c_e|.
-    """
-    fac = _slot_integral(fixed, r1, r2, exp)
-    if fac is None:
-        return None
-    low = min(fac)
-    packed = 0
-    weight = 0
-    for e, c in fac.items():
-        packed += c << (_DIGIT_BITS * (e - low))
-        weight += abs(c)
-    return packed, low, weight
-
-
 def _slot_key(Y: MonomialHermitian, B: MonomialHermitian, k: int, j: int):
     pk, pj = B.sigma_of(k), Y.sigma_of(j)
     if (pk, pj) < (k, j):
@@ -197,6 +170,8 @@ def _slot_key(Y: MonomialHermitian, B: MonomialHermitian, k: int, j: int):
 
 def _gram_factor(Y: MonomialHermitian, B: MonomialHermitian):
     """gram_g(Y, B) as a factored term, None when it vanishes."""
+    if Y.size != B.size:
+        raise ValueError("size mismatch")
     c, n, a, b = 1, 0, 0, 0
     for k in range(1, Y.size + 1):
         for j in range(1, Y.size + 1):
@@ -213,49 +188,6 @@ def _gram_factor(Y: MonomialHermitian, B: MonomialHermitian):
     return c, n, a, b
 
 
-def _gram_dicts(Y: MonomialHermitian, B: MonomialHermitian) -> SignedRational:
-    # plain dict convolution, kept as the fallback for weights too large
-    # to pack (never reached at desk scale)
-    acc = {0: 1}
-    for k in range(1, Y.size + 1):
-        for j in range(1, Y.size + 1):
-            key = _slot_key(Y, B, k, j)
-            if key is None:
-                continue
-            fac = _slot_integral(*key)
-            if fac is None:
-                return SR_ZERO
-            new: dict[int, int] = {}
-            for e1, c1 in acc.items():
-                for e2, c2 in fac.items():
-                    ke = e1 + e2
-                    v = new.get(ke, 0) + c1 * c2
-                    if v:
-                        new[ke] = v
-                    elif ke in new:
-                        del new[ke]
-            acc = new
-    return SignedRational(SignedLaurent(acc))
-
-
-def _gram_packed(Y: MonomialHermitian, B: MonomialHermitian):
-    acc = 1
-    low = 0
-    weight = 1
-    for k in range(1, Y.size + 1):
-        for j in range(1, Y.size + 1):
-            key = _slot_key(Y, B, k, j)
-            if key is None:
-                continue
-            got = _slot_packed(*key)
-            if got is None:
-                return None
-            acc *= got[0]
-            low += got[1]
-            weight *= got[2]
-    return acc, low, weight
-
-
 def gram_g(Y: MonomialHermitian, B: MonomialHermitian) -> SignedRational:
     """Product of slot integrals for the pair (Y, B).
 
@@ -263,53 +195,20 @@ def gram_g(Y: MonomialHermitian, B: MonomialHermitian) -> SignedRational:
     norm integrals, two-element orbits give trace pair integrals.  The slot
     exponent e_j + lam_k is orbit constant.
     """
-    if Y.size != B.size:
-        raise ValueError("size mismatch")
-    got = _gram_packed(Y, B)
-    if got is None:
-        return SR_ZERO
-    acc, low, weight = got
-    if weight >= _DIGIT_HALF:
-        return _gram_dicts(Y, B)
-    coeffs = {}
-    e = low
-    while acc:
-        d = acc & (_DIGIT_BASE - 1)
-        if d >= _DIGIT_HALF:
-            d -= _DIGIT_BASE
-        acc = (acc - d) >> _DIGIT_BITS
-        if d:
-            coeffs[e] = d
-        e += 1
-    return SignedRational(SignedLaurent(coeffs))
+    g = _gram_factor(Y, B)
+    return SR_ZERO if g is None else _expand(g)
 
 
 def gram_fingerprint(Y: MonomialHermitian, B: MonomialHermitian) -> tuple:
     """Canonical encoding of gram_g(Y, B) for bulk equality sweeps.
 
-    Returns (packed, low) with the lowest digit nonzero, (0, 0) for a
-    vanishing product.  Fingerprints are equal exactly when the gram
-    values are equal, at a fraction of the cost of building them.
+    Returns the factored term (c, N, A, B) of the product, (0, 0) when it
+    vanishes.  The form c s^N (s-1)^A (s+1)^B of a nonzero value is unique,
+    so fingerprints are equal exactly when the gram values are equal, at a
+    fraction of the cost of building them.
     """
-    if Y.size != B.size:
-        raise ValueError("size mismatch")
-    got = _gram_packed(Y, B)
-    if got is None:
-        return 0, 0
-    acc, low, weight = got
-    if weight >= _DIGIT_HALF:
-        acc = 0
-        poly = _gram_dicts(Y, B).num.coeffs
-        low = min(poly)
-        for e, c in poly.items():
-            if abs(c.numerator) >= _DIGIT_HALF:
-                raise InvariantError(f"gram coefficient {c} overflows a packed digit")
-            acc += c.numerator << (_DIGIT_BITS * (e - low))
-    mask = _DIGIT_BASE - 1
-    while acc and not acc & mask:
-        acc >>= _DIGIT_BITS
-        low += 1
-    return (acc, low) if acc else (0, 0)
+    g = _gram_factor(Y, B)
+    return (0, 0) if g is None else g
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +463,10 @@ def _close(box: list, tails: dict) -> SignedRational:
     return SignedRational(num, den)
 
 
+# the summed box has (2K + 1)^2 terms with K = max|e| + kink_pad
+DENSITY_MAX_EXP = 300
+
+
 def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
                  kink_pad: int = 4):
     """Exact value and prime of the weighted density over all 2x2 forms.
@@ -575,8 +478,11 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
     """
     if B.size != 2:
         raise ValueError("n = 1 only")
+    top = max(abs(l) for l in B.e)
+    if top > DENSITY_MAX_EXP:
+        raise BudgetError(f"exact density limited to max|e| <= {DENSITY_MAX_EXP}, got {top}")
     prof = WeightProfile(1, h, t, r)
-    K = max(abs(l) for l in B.e) + kink_pad
+    K = top + kink_pad
 
     # the tail probes and corner walks revisit terms; memo per call only
     @lru_cache(maxsize=None)

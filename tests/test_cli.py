@@ -76,6 +76,12 @@ class TestWdens:
                               "--B", "nonsense", "--symbolic"])
         assert res.exit_code == 2
 
+    def test_symbolic_budget_exit_code(self, runner):
+        res = invoke(runner, ["wdens", "--h", "0", "--t", "1",
+                              "--B", "diag:0,-301", "--symbolic"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+
 
 class TestBeta:
     def test_closed_top_constant(self, runner):
@@ -93,6 +99,11 @@ class TestBeta:
         doc = out_json(res)
         assert doc["identity"]["match"] is True
         assert doc["identity"]["lhs_at_q"] == doc["identity"]["rhs_at_q"]
+
+    def test_budget_exit_code(self, runner):
+        res = invoke(runner, ["beta", "--n", "9", "--h", "1"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
 
 
 class TestAlpha:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -180,3 +181,60 @@ def test_solve_linear_random_systems(rows):
         for j in range(3):
             acc = acc + SignedRational(M[i][j]) * x[j]
         assert acc == SignedRational(rhs[i])
+
+
+def test_canonical_form_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    s = sp.Symbol("s")
+    rng = random.Random(29)
+
+    def to_sympy(p):
+        return sum((sp.Rational(c.numerator, c.denominator) * s ** e
+                    for e, c in p.coeffs.items()), sp.Integer(0))
+
+    def laurent():
+        while True:
+            p = SignedLaurent({rng.randint(-3, 3): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                               for _ in range(rng.randint(1, 3))})
+            if not p.is_zero():
+                return SignedRational(p), to_sympy(p)
+
+    def combine(depth):
+        if depth == 0:
+            return laurent()
+        (x, ex), (y, ey) = combine(depth - 1), combine(depth - 1)
+        op = rng.choice("+-*/")
+        if op == "+":
+            return x + y, ex + ey
+        if op == "-":
+            return x - y, ex - ey
+        if op == "*" or y.is_zero():
+            return x * y, ex * ey
+        return x / y, ex / ey
+
+    def reroute(x, ex):
+        # the same value by another route, or a value off by one monomial
+        z, ez = laurent()
+        kind = rng.randrange(3)
+        if kind == 0:
+            return x * z / z, ex * ez / ez
+        if kind == 1:
+            return x - z + z, ex - ez + ez
+        m = SignedLaurent.monomial(rng.randint(-2, 2), rng.choice([-1, 1]))
+        return x + SignedRational(m), ex + to_sympy(m)
+
+    values = []
+    for _ in range(100):
+        x, ex = combine(rng.randint(1, 2))
+        values += [(x, ex), reroute(x, ex)]
+    for x, ex in values:
+        num, den = to_sympy(x.num), to_sympy(x.den)
+        assert x.den.min_exp() == 0 and x.den.coeffs[0] == 1
+        assert sp.cancel(num / den - ex) == 0
+        # cancel keeps powers of s in its denominator; ours go to the numerator
+        _, sden = sp.fraction(sp.cancel(ex))
+        _, sden = sp.Poly(sden, s).terms_gcd()
+        assert sp.Poly(den, s).monic() == sden.monic()
+    for i in range(len(values) - 1):
+        (x, ex), (y, ey) = values[i], values[i + 1]
+        assert (x == y) == (sp.cancel(ex - ey) == 0), (x, y)

@@ -9,7 +9,7 @@ import pytest
 
 from hermdens import whit
 from hermdens.errors import InvariantError
-from hermdens.locint import norm_integral
+from hermdens.locint import norm_integral, trace_pair_integral
 from hermdens.reps import (
     WeightProfile,
     a_t,
@@ -107,6 +107,40 @@ def test_gram_duality_n2_sample():
         for Y in random.sample(ys, 25):
             for B in bs:
                 assert gram_g(Y, B) == gram_g(dual_wedge(Y, h), dual_vee(B, h))
+
+
+def _slot_table_product(Y, B):
+    # reference gram value straight from the slot tables: the slot (k, j) lies
+    # in O above the diagonal, O_unit on it and pi O below it, and its orbit
+    # under (k, j) -> (tau(k), sigma(j)) carries the exponent e_j + lam_k
+    def region(k, j):
+        return "O" if k < j else "O_unit" if k == j else "piO"
+
+    acc = SignedRational(1)
+    seen = set()
+    for k in range(1, Y.size + 1):
+        for j in range(1, Y.size + 1):
+            if (k, j) in seen:
+                continue
+            pk, pj = B.sigma[k - 1], Y.sigma[j - 1]
+            seen |= {(k, j), (pk, pj)}
+            exp = Y.e[j - 1] + B.e[k - 1]
+            if (pk, pj) == (k, j):
+                acc = acc * norm_integral(region(k, j), exp)
+            else:
+                acc = acc * trace_pair_integral(region(k, j), region(pk, pj), exp)
+    return acc
+
+
+def test_gram_matches_slot_table_product():
+    pairs = [(Y, B) for Y in n1_forms(-3, 3) for B in n1_forms(-2, 3)]
+    rng = random.Random(17)
+    for n, count in ((2, 200), (3, 50)):
+        ys = list(enumerate_reps(n, -2, 2))
+        bs = list(enumerate_reps(n, -1, 2))
+        pairs += [(rng.choice(ys), rng.choice(bs)) for _ in range(count)]
+    for Y, B in pairs:
+        assert gram_g(Y, B) == _slot_table_product(Y, B), (Y, B)
 
 
 def test_profile_forms_agree():
