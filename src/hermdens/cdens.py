@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import BudgetError, InvariantError
-from .locint import _check_prime, _nonresidue
+from .locint import _check_prime, count_solutions
 from .symb import SL_ONE, SR_ONE, SR_ZERO, SignedRational, npq, qpow
 
 
@@ -230,51 +230,9 @@ def alpha_brute(ambient: Sequence[int], target: Sequence[int], p: int, d: int) -
         raise BudgetError("brute counting budget exceeded")
     if k == 2 and p ** (2 * d * m) > 10 ** 4:
         raise BudgetError("pair counting budget exceeded")
-    mod = p ** d
-    c = _nonresidue(p)
-    a_val = [pow(p, e) % mod for e in a_exps]
-    b_val = [pow(p, e) % mod for e in b_exps]
-
-    cols = []
-    rng = range(mod)
-    for coords in _tuples(rng, 2 * m):
-        col = [(coords[2 * i], coords[2 * i + 1]) for i in range(m)]
-        cols.append(col)
-
-    def herm(u, v):
-        # sum_i conj(u_i) a_i v_i with conj(x+yw) = x-yw, w^2 = c
-        re = 0
-        im = 0
-        for (x1, y1), (x2, y2), av in zip(u, v, a_val):
-            re += av * (x1 * x2 - c * y1 * y2)
-            im += av * (x1 * y2 - y1 * x2)
-        return re % mod, im % mod
-
-    if k == 1:
-        want = (b_val[0] % mod, 0)
-        count = sum(1 for col in cols if herm(col, col) == want)
-        return Fraction(count, p ** (d * k * (2 * m - k)))
-
-    buckets: dict[tuple[int, int], list] = {}
-    for col in cols:
-        buckets.setdefault(herm(col, col), []).append(col)
-    first = buckets.get((b_val[0] % mod, 0), [])
-    second = buckets.get((b_val[1] % mod, 0), [])
-    count = 0
-    for u in first:
-        for v in second:
-            if herm(u, v) == (0, 0):
-                count += 1
+    gram = [[pow(p, b) if i == j else 0 for j, b in enumerate(b_exps)] for i in range(k)]
+    count = count_solutions(range(m), a_exps, gram, [("O",) * m] * k, p, d)
     return Fraction(count, p ** (d * k * (2 * m - k)))
-
-
-def _tuples(rng, size):
-    if size == 0:
-        yield ()
-        return
-    for head in rng:
-        for rest in _tuples(rng, size - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -389,44 +347,12 @@ def jcount_oracle(l_exps: Sequence[int], m_exps: Sequence[int], p: int, d: int,
     _check_prime(p)
     if p ** (2 * d * m) > 10 ** 5 or k > 2:
         raise BudgetError("counting budget exceeded")
-    mod = p ** d
-    c = _nonresidue(p)
-    g_m = [pow(p, e) % mod for e in mv]
-
-    def herm(u, v):
-        re = im = 0
-        for (x1, y1), (x2, y2), gv in zip(u, v, g_m):
-            re += gv * (x1 * x2 - c * y1 * y2)
-            im += gv * (x1 * y2 - y1 * x2)
-        return re % mod, im % mod
-
-    def member(col) -> bool:
-        # coordinate i must lie in pi^max(0, 1 - g_i) O
-        for (x, y), e in zip(col, mv):
-            need = max(0, 1 - e)
-            if need and (x % p ** need or y % p ** need):
-                return False
-        return True
-
     restricted = {"J": 1, "J1": k // 2 + 1, "I": 0}[kind]
-    per_col = []
-    for j in range(k):
-        want = (pow(p, lv[j], mod), 0)
-        ok = []
-        for coords in _tuples(range(mod), 2 * m):
-            col = [(coords[2 * i], coords[2 * i + 1]) for i in range(m)]
-            if herm(col, col) != want:
-                continue
-            if j < restricted and not member(col):
-                continue
-            ok.append(col)
-        per_col.append(ok)
-
-    if k == 1:
-        count = len(per_col[0])
-    else:
-        count = sum(1 for u in per_col[0] for v in per_col[1]
-                    if herm(u, v) == (0, 0))
+    # restricted columns lie in pi * (dual of M): coordinate i in pi^max(0, 1 - g_i) O
+    member = tuple("piO" if e == 0 else "O" for e in mv)
+    gram = [[pow(p, l) if i == j else 0 for j, l in enumerate(lv)] for i in range(k)]
+    regions = [member if j < restricted else ("O",) * m for j in range(k)]
+    count = count_solutions(range(m), mv, gram, regions, p, d)
     scale = Fraction(p) ** (-2 * d * m * k) * Fraction(p) ** ((d - 1) * k * k)
     return JCount(count, count * scale)
 

@@ -15,13 +15,20 @@ values over residue rings of Z_p[w]/(w^2 - c): root-of-unity bookkeeping is
 done exactly (fiber counts must be constant on Galois orbits, and sums of
 primitive p^l-th roots collapse to 1, -1, or 0), so the result is a Fraction
 with no numerical cancellation anywhere.
+
+count_solutions counts solutions of hermitian equations v_i A v_j^* = t_ij
+over O_E / p^d with coordinates restricted to these regions; the three
+brute-force density oracles in cdens and whit are thin callers of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
+from .errors import BudgetError, InvariantError
 from .symb import SL_ONE, SignedLaurent, SignedRational, npq
 
 
@@ -111,7 +118,7 @@ def _nonresidue(p: int) -> int:
     for c in range(2, p):
         if pow(c, (p - 1) // 2, p) == p - 1:
             return c
-    raise AssertionError(f"no quadratic nonresidue mod {p}")
+    raise InvariantError(f"no quadratic nonresidue mod {p}")
 
 
 def _collapse(fibers: dict, p: int, mp: int) -> Fraction:
@@ -133,7 +140,7 @@ def _collapse(fibers: dict, p: int, mp: int) -> Fraction:
             members = [v for v in range(step, p ** mp, step) if v % (p ** (mp - l + 1)) != 0]
         counts = {fibers.get(v, 0) for v in members}
         if len(counts) != 1:
-            raise AssertionError(
+            raise InvariantError(
                 f"fiber counts not Galois invariant at level {l}: {sorted(counts)}")
         n = counts.pop()
         if l == 0:
@@ -256,3 +263,65 @@ def _trace_brute(p: int, k1: str, k2: str, e: int) -> Fraction:
             t = (2 * (a * u + c * b * v)) % pmp if mp else 0
             fibers[t] = fibers.get(t, 0) + 1
     return _collapse(fibers, p, mp) * Fraction(1, p ** (4 * m))
+
+
+# ---------------------------------------------------------------------------
+# solution counting over O_E / p^d
+
+
+# pair checks one count_solutions call may make (len(first) * len(second))
+PAIR_BUDGET = 5_000_000
+
+
+def _residues(kind: str, p: int, P: int) -> list:
+    """Elements x + y w of one region of O_E / P, as pairs (x, y)."""
+    step = p if kind == "piO" else 1
+    points = [(x, y) for x in range(0, P, step) for y in range(0, P, step)]
+    if kind == "O_unit":
+        return [(x, y) for x, y in points if x % p or y % p]
+    return points
+
+
+def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
+    """Count tuples of 1 or 2 row vectors v_i over O_E / p^d with
+    v_i A v_j^* = target[i][j].
+
+    O_E = Z_p[w] with w^2 a nonresidue.  A is the hermitian monomial form
+    with p^exps[j] in row sigma[j], column j (rows counted from 0), target a
+    hermitian matrix of rational integers, and coordinate j of v_i ranges
+    over regions[i][j], one of "O", "O_unit", "piO".  The pair stage raises
+    BudgetError before it runs when it would exceed PAIR_BUDGET checks.
+    """
+    k = len(regions)
+    if k not in (1, 2):
+        raise ValueError(f"count_solutions takes 1 or 2 vectors, got {k}")
+    P = p ** d
+    c = _nonresidue(p)
+    a = [pow(p, e, P) for e in exps]
+    kept = {}
+    # each distinct region tuple is enumerated once; a vector is kept, with
+    # the coefficients of u -> v A u^* (real and w parts), only when its own
+    # value is one of the wanted diagonal targets
+    for reg in dict.fromkeys(tuple(r) for r in regions):
+        wanted = {target[i][i] % P: [] for i in range(k) if tuple(regions[i]) == reg}
+        for v in product(*(_residues(kind, p, P) for kind in reg)):
+            re, im = [], []
+            for a_j, s in zip(a, sigma):
+                wx, wy = a_j * v[s][0], a_j * v[s][1]
+                re += (wx, -c * wy)
+                im += (wy, -wx)
+            flat = sum(v, ())
+            bucket = wanted.get(sum(map(mul, re, flat)) % P)
+            if bucket is not None and sum(map(mul, im, flat)) % P == 0:
+                bucket.append((re, im, flat))
+        kept[reg] = wanted
+    found = [kept[tuple(r)][target[i][i] % P] for i, r in enumerate(regions)]
+    if k == 1:
+        return len(found[0])
+    first, second = found
+    if len(first) * len(second) > PAIR_BUDGET:
+        raise BudgetError(f"pair counting budget exceeded: "
+                          f"{len(first) * len(second)} > {PAIR_BUDGET} checks")
+    t = target[0][1] % P
+    return sum(1 for re, im, _ in first for _, _, flat in second
+               if sum(map(mul, re, flat)) % P == t and sum(map(mul, im, flat)) % P == 0)

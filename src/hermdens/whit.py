@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import BudgetError, InvariantError
-from .locint import _check_prime, _nonresidue, norm_integral, trace_pair_integral
+from .locint import _check_prime, count_solutions, norm_integral, trace_pair_integral
 from .reps import MonomialHermitian, WeightProfile, classify, diagonal, make_monomial
 from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, npq
 
@@ -345,61 +345,9 @@ def alpha_iwahori_brute(Y: MonomialHermitian, p: int, d: int) -> Fraction:
     if min(Y.e) < 0:
         raise ValueError("nonnegative exponents only")
 
-    P = p ** d
-    C = _nonresidue(p)
-
-    def mul(u, v):
-        return ((u[0] * v[0] + C * u[1] * v[1]) % P, (u[0] * v[1] + u[1] * v[0]) % P)
-
-    def conj(u):
-        return (u[0], -u[1] % P)
-
-    ymat = [[(0, 0)] * 2 for _ in range(2)]
-    for j in (1, 2):
-        ymat[Y.sigma_of(j) - 1][j - 1] = (pow(p, Y.e_of(j), P), 0)
-
-    def row_apply(row):
-        # row . Y as a pair of extension elements
-        out = []
-        for col in range(2):
-            acc = (0, 0)
-            for u in range(2):
-                m = mul(row[u], ymat[u][col])
-                acc = ((acc[0] + m[0]) % P, (acc[1] + m[1]) % P)
-            out.append(acc)
-        return out
-
-    def dot_conj(w, row):
-        acc = (0, 0)
-        for u in range(2):
-            m = mul(w[u], conj(row[u]))
-            acc = ((acc[0] + m[0]) % P, (acc[1] + m[1]) % P)
-        return acc
-
-    units = [(x, y) for x in range(P) for y in range(P) if x % p or y % p]
-    every = [(x, y) for x in range(P) for y in range(P)]
-    ideal = [(x, y) for x in range(0, P, p) for y in range(0, P, p)]
-
-    top = []
-    for a in units:
-        for b in every:
-            row = (a, b)
-            if dot_conj(row_apply(row), row) == ymat[0][0]:
-                top.append((row, row_apply(row)))
-    bottom = []
-    for c in ideal:
-        for e in units:
-            row = (c, e)
-            if dot_conj(row_apply(row), row) == ymat[1][1]:
-                bottom.append(row)
-    if len(top) * len(bottom) > 5_000_000:
-        raise BudgetError("budget: cross stage too large")
-    target = ymat[0][1]
-    count = 0
-    for _, w in top:
-        for row2 in bottom:
-            if dot_conj(w, row2) == target:
-                count += 1
+    sigma = [s - 1 for s in Y.sigma]
+    ymat = [[pow(p, Y.e[j]) if sigma[j] == i else 0 for j in range(2)] for i in range(2)]
+    count = count_solutions(sigma, Y.e, ymat, [("O_unit", "O"), ("piO", "O_unit")], p, d)
     return Fraction(count, p ** (4 * d))
 
 
@@ -571,7 +519,10 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     """
     if B.size != 2 or prof.n != 1:
         raise ValueError("n = 1 only")
-    K = max(abs(l) for l in B.e) + 4
+    top = max(abs(l) for l in B.e)
+    if max(e_window, top) > DENSITY_MAX_EXP:
+        raise BudgetError(f"numeric density limited to window, max|e| <= {DENSITY_MAX_EXP}")
+    K = top + 4
 
     @lru_cache(maxsize=None)
     def at_q(Y):

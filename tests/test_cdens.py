@@ -19,6 +19,7 @@ from hermdens.cdens import (
     scale_alpha,
     thm42_display,
 )
+from hermdens.errors import BudgetError
 from hermdens.reps import a_t, diagonal, dual_vee, make_monomial
 from hermdens.symb import SL_ONE, SignedRational, npq
 from hermdens.whit import alpha_iwahori_brute, w_density_n1
@@ -142,6 +143,11 @@ class TestBrute:
         with pytest.raises(ValueError):
             alpha_brute((0, 0), (-1,), 3, 1)
 
+    def test_pair_budget(self):
+        # every vector solves the diagonal (all values vanish mod 9): 6561^2 pairs
+        with pytest.raises(BudgetError, match="checks"):
+            alpha_brute((2, 2), (2, 2), 3, 2)
+
 
 class TestJFunctional:
     def test_base_point_value(self):
@@ -241,6 +247,10 @@ class TestLatticeCounts:
             jcount_oracle((0, 0), (0, 0), 3, 1, "X")
         with pytest.raises(ValueError):
             jcount_oracle((0, 0), (0, 0, 0), 3, 3, "I")
+
+    def test_pair_budget(self):
+        with pytest.raises(BudgetError, match="checks"):
+            jcount_oracle((1, 1), (1, 1, 1, 1), 3, 1, "I")
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9])

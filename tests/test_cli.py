@@ -82,6 +82,13 @@ class TestWdens:
         assert res.exit_code == 3
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("b_text,emin", [("diag:1000,0", "-1"), ("diag:0,0", "-301")])
+    def test_numeric_budget_exit_code(self, runner, b_text, emin):
+        res = invoke(runner, ["wdens", "--h", "0", "--t", "1", "--B", b_text,
+                              "--q", "3", "--emin", emin, "--emax", "1"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+
 
 class TestBeta:
     def test_closed_top_constant(self, runner):
@@ -128,6 +135,12 @@ class TestAlpha:
         res = invoke(runner, ["alpha", "--xi", "0,0,0,0", "--lam", "0",
                               "--brute", "--q", "5", "--d", "3"])
         assert res.exit_code == 3
+
+    def test_pair_budget_exit_code(self, runner):
+        res = invoke(runner, ["alpha", "--xi", "2,2", "--lam", "2,2",
+                              "--brute", "--q", "3", "--d", "2"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
 
     def test_brute_rejects_non_prime(self, runner):
         res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "1,0",

@@ -3,11 +3,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from hermdens.errors import InvariantError
 from hermdens.locint import (
     R_O,
     R_PI,
     R_UNIT,
     Region,
+    _collapse,
     _trace_brute,
     charsum_oracle,
     norm_integral,
@@ -116,3 +118,9 @@ def test_oracle_depth_validation():
         charsum_oracle(3, "spin", "O", 0, 2)
     with pytest.raises(ValueError):
         charsum_oracle(3, "trace_pair", "O", 0, 2)
+
+
+def test_collapse_rejects_orbit_variant_fibers():
+    # v = 1 and v = 2 are Galois conjugate mod 3 but carry different counts
+    with pytest.raises(InvariantError, match="Galois"):
+        _collapse({1: 1}, 3, 1)
