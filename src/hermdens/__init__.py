@@ -14,14 +14,12 @@ Modules:
 from .symb import (
     SignedLaurent,
     SignedRational,
-    geometric_sum,
     sr_solve_linear,
 )
 
 __all__ = [
     "SignedLaurent",
     "SignedRational",
-    "geometric_sum",
     "sr_solve_linear",
 ]
 

@@ -8,8 +8,10 @@ t = n term; the right hand side carries the counter itself.
 
 The matrix is a scaled two-node Vandermonde in disguise: with nodes x_j and
 column scalings alpha_j as below, s^{2n(2n-h)} B_{ij} = x_j^{i-1} alpha_j.
-That both routes (direct elimination, Lagrange coefficient inversion) give
-the same constants is part of the test surface.
+solve_constants solves it by Lagrange coefficient inversion
+(vandermonde_inverse_route).  Exact Gaussian elimination (symb.sr_solve_linear
+on build_system) shares no solving code with that route and is kept as the
+independent check in the tests and the verify suites.
 """
 
 from __future__ import annotations
@@ -17,30 +19,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError, InvariantError
-from .symb import (
-    SL_ONE,
-    SL_ZERO,
-    SR_ONE,
-    SR_ZERO,
-    SignedLaurent,
-    SignedRational,
-    npq,
-    sr_solve_linear,
-)
+from .symb import SL_ONE, SL_ZERO, SignedRational, npq
 
-# the exact elimination costs about 2.5-3x more per step in n
+# the Lagrange route costs about 2x more per step in n; appendix --n
+# inherits this limit through solve_constants
 SOLVE_MAX_N = 8
+
+
+def _check_system(n: int, h: int) -> None:
+    """Budget, range and prefactor checks shared by both routes, before any work."""
+    if n > SOLVE_MAX_N:
+        raise BudgetError(f"exact solve limited to n <= {SOLVE_MAX_N}, got n={n}")
+    if not (1 <= n and 0 <= h <= 2 * n):
+        raise ValueError(f"need n >= 1 and 0 <= h <= 2n, got n={n}, h={h}")
+    if (2 * n - h) ** 2 - h ** 2 != 4 * n * (n - h):
+        raise InvariantError(f"dual prefactor identity fails at n={n}, h={h}")
 
 
 def build_system(n: int, h: int):
     """Matrix and right hand side of the constant system."""
-    if not (1 <= n and 0 <= h <= 2 * n):
-        raise ValueError(f"need n >= 1 and 0 <= h <= 2n, got n={n}, h={h}")
+    _check_system(n, h)
     N = 2 * n + 1
     cut = 2 * n - h
     dual_pref = -4 * n * (n - h)
-    if (2 * n - h) ** 2 - h ** 2 != 4 * n * (n - h):
-        raise InvariantError(f"dual prefactor identity fails at n={n}, h={h}")
     mat = []
     rhs = []
     for i in range(1, N + 1):
@@ -64,13 +65,8 @@ class BetaSolution:
 
 def solve_constants(n: int, h: int) -> BetaSolution:
     """Solve the system; the middle block carries a sign flip by convention."""
-    if n > SOLVE_MAX_N:
-        raise BudgetError(f"exact solve limited to n <= {SOLVE_MAX_N}, got n={n}")
-    mat, rhs = build_system(n, h)
-    vec = sr_solve_linear(mat, rhs)
-    beta_h = tuple(vec[:n])
-    beta_dual = tuple(v * SignedRational(-1) for v in vec[n:2 * n])
-    return BetaSolution(n, h, beta_h, beta_dual, vec[2 * n])
+    vec = vandermonde_inverse_route(n, h)
+    return BetaSolution(n, h, tuple(vec[:n]), tuple(-v for v in vec[n:2 * n]), vec[2 * n])
 
 
 def beta_closed_last(n: int) -> SignedRational:
@@ -111,34 +107,35 @@ def vandermonde_factor_check(n: int, h: int) -> bool:
     return True
 
 
-def vandermonde_inverse_route(n: int, h: int):
+def vandermonde_inverse_route(n: int, h: int) -> list[SignedRational]:
     """Solve the system through Lagrange coefficients instead of elimination.
 
-    y_ij is the z^{2n+1-j} coefficient of prod_{m != i} (1 - x_m z)/(x_m - x_i);
-    the solution is diag(alpha)^{-1} y rhs rescaled by s^{2n(2n-h)}.
+    Scaling by s^{2n(2n-h)} turns row i (0-based) of the right hand side into
+    the integer c_i = i - (2n-h).  With l_ij the z^{2n-j} coefficient of
+    prod_{m != i} (1 - x_m z), unknown i is
+    sum_j c_j l_ij / (alpha_i prod_{m != i} (x_m - x_i)).  Numerator and
+    denominator stay Laurent polynomials, so each unknown is canonicalized once.
     """
+    _check_system(n, h)
     xs, al = _nodes(n, h)
-    _, rhs = build_system(n, h)
     N = 2 * n + 1
-    scale = SignedRational(npq(2 * n * (2 * n - h)))
+    cut = 2 * n - h
     out = []
     for i in range(N):
         coeffs = [SL_ONE]
-        den = SR_ONE
+        den = al[i]
         for m in range(N):
             if m == i:
                 continue
-            grown = [SL_ZERO] * (len(coeffs) + 1)
+            grown = coeffs + [SL_ZERO]
             for k, ck in enumerate(coeffs):
-                grown[k] = grown[k] + ck
                 grown[k + 1] = grown[k + 1] - ck * xs[m]
             coeffs = grown
-            den = den * SignedRational(xs[m] - xs[i])
-        acc = SR_ZERO
+            den = den * (xs[m] - xs[i])
+        num = SL_ZERO
         for j in range(N):
-            y_ij = SignedRational(coeffs[N - 1 - j]) / den
-            acc = acc + y_ij * rhs[j]
-        out.append(scale * acc / SignedRational(al[i]))
+            num = num + coeffs[N - 1 - j].scaled(j - cut)
+        out.append(SignedRational(num, den))
     return out
 
 

@@ -157,13 +157,6 @@ def alpha_diag_unimodular(k: int, m: int, n: int) -> SignedRational:
     return prod
 
 
-def pi_an_exponents(n: int, r: int) -> tuple[int, ...]:
-    """Exponents of pi * (A_n padded by 2r unimodular slots)."""
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
-    return (1,) * (n + 2 * r) + (0,) * n
-
-
 def prop_a5_value(n: int, target_size: int) -> SignedRational:
     """Padding-independent alpha of the unit form of size n or n-1 in pi*A_n."""
     if target_size == n:
@@ -201,11 +194,6 @@ def _check_san_pair(a: int, b: int) -> None:
         raise ValueError(f"need a >= b >= 0, got {(a, b)}")
     if (a + b) % 2:
         raise ValueError(f"odd determinant valuation {(a, b)} gives density zero")
-
-
-def scale_alpha(value: SignedRational, k: int) -> SignedRational:
-    """Turn alpha(C, D) into alpha(pi C, pi D) when D has size k."""
-    return value * SignedRational(qpow(k * k))
 
 
 # ---------------------------------------------------------------------------

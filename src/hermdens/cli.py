@@ -100,7 +100,7 @@ def _guard(ctx, fn):
     """Map library errors onto the documented exit codes."""
     try:
         return fn()
-    except click.ClickException:
+    except (click.ClickException, click.exceptions.Exit):
         raise
     except BudgetError as exc:
         click.echo(f"budget: {exc}", err=True)

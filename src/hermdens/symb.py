@@ -450,32 +450,6 @@ def _coerce_sr(x):
 # named operations
 
 
-def geometric_sum(first: SignedLaurent, ratio: SignedLaurent, count) -> SignedRational:
-    """Sum of a geometric progression, exactly.
-
-    count is a positive integer or the string "infinite".  The infinite sum
-    requires the ratio to have strictly negative s-degree, which is what
-    makes the formal series collapse to first/(1-ratio).
-    """
-    first = _coerce_sl(first)
-    ratio = _coerce_sl(ratio)
-    if first.is_zero():
-        raise ValueError("first term must be nonzero")
-    if ratio.is_zero():
-        raise ValueError("ratio must be nonzero")
-    if count == "infinite":
-        if ratio.max_exp() >= 0:
-            raise ValueError(
-                f"infinite sum needs ratio of strictly negative s-degree, got degree {ratio.max_exp()}")
-        return SignedRational(first, SignedLaurent.one() - ratio)
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer or 'infinite', got {count!r}")
-    if ratio == SignedLaurent.one():
-        return SignedRational(first.scaled(count))
-    return SignedRational(first * (SignedLaurent.one() - ratio ** count),
-                          SignedLaurent.one() - ratio)
-
-
 def sr_solve_linear(matrix, rhs) -> list[SignedRational]:
     """Solve a square linear system over Q(s) by exact Gaussian elimination.
 

@@ -186,19 +186,3 @@ def bfs_census(q: int, d: int, rx: int, ry: int) -> dict[tuple[int, int], int]:
                     nxt.append((nd1, nd2, width * q))
         frontier = nxt
     return census
-
-
-def cross_check_jfun(inst: TreeInstance):
-    """Compare the tree total with the density-side functional on a split form."""
-    from .cdens import jfun_n1
-    from .reps import diagonal
-    from .symb import SignedRational
-
-    total = intersect_zy(inst)["total"]
-    want = SignedRational(Fraction(inst.vdet, 2) + 1)
-    jval = jfun_n1(1, diagonal((inst.vdet, 0)))
-    return {
-        "total": total,
-        "jfun": jval,
-        "match": jval == want and total == Fraction(inst.vdet, 2) + 1,
-    }

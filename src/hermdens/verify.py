@@ -40,7 +40,8 @@ from .cdens import (
     san_alpha2_prime,
     thm42_display,
 )
-from .locint import charsum_oracle, norm_integral, trace_integral_J1, trace_pair_integral
+from .errors import BudgetError, InvariantError
+from .locint import _check_prime, charsum_oracle, norm_integral, trace_integral_J1, trace_pair_integral
 from .reps import (
     WeightProfile,
     classify,
@@ -83,34 +84,40 @@ class Recorder:
     def __init__(self):
         self.checks: list[Check] = []
 
+    def _record(self, cid: str, anchor: str, judge):
+        """judge returns (passed, lhs, rhs); a budget or invariant error fails the check."""
+        t0 = time.perf_counter()
+        try:
+            passed, lhs, rhs = judge()
+        except (BudgetError, InvariantError) as exc:
+            passed, lhs, rhs = False, f"{type(exc).__name__}: {exc}", "no error"
+        el = time.perf_counter() - t0
+        self.checks.append(Check(cid, anchor, "pass" if passed else "fail",
+                                 str(lhs), str(rhs), round(el, 6)))
+
     def equal(self, cid: str, anchor: str, fn):
         """fn returns (lhs, rhs); pass means exact equality."""
-        t0 = time.perf_counter()
-        lhs, rhs = fn()
-        el = time.perf_counter() - t0
-        status = "pass" if lhs == rhs else "fail"
-        self.checks.append(Check(cid, anchor, status, str(lhs), str(rhs), round(el, 6)))
+        def judge():
+            lhs, rhs = fn()
+            return lhs == rhs, lhs, rhs
+        self._record(cid, anchor, judge)
 
     def close(self, cid: str, anchor: str, fn, tol: Fraction):
-        t0 = time.perf_counter()
-        lhs, rhs = fn()
-        el = time.perf_counter() - t0
-        status = "pass" if abs(Fraction(lhs) - Fraction(rhs)) <= tol else "fail"
-        self.checks.append(Check(cid, anchor, status, str(lhs), str(rhs), round(el, 6)))
+        def judge():
+            lhs, rhs = fn()
+            return abs(Fraction(lhs) - Fraction(rhs)) <= tol, lhs, rhs
+        self._record(cid, anchor, judge)
 
     def sweep(self, cid: str, anchor: str, pairs):
         """pairs yields (lhs, rhs) comparisons; pass means no mismatch."""
-        t0 = time.perf_counter()
-        total = bad = 0
-        for lhs, rhs in pairs:
-            total += 1
-            if lhs != rhs:
-                bad += 1
-        el = time.perf_counter() - t0
-        status = "pass" if bad == 0 and total > 0 else "fail"
-        self.checks.append(Check(cid, anchor, status,
-                                 f"{bad} mismatches of {total}", "0 mismatches",
-                                 round(el, 6)))
+        def judge():
+            total = bad = 0
+            for lhs, rhs in pairs:
+                total += 1
+                if lhs != rhs:
+                    bad += 1
+            return bad == 0 and total > 0, f"{bad} mismatches of {total}", "0 mismatches"
+        self._record(cid, anchor, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +427,14 @@ def _suite_partition_sums(rec: Recorder, q: int):
               ((san_alpha2_prime(a, b), alpha_prime(hironaka_coeffs((1, 0), (a, b))))
                for a, b in san))
     p = q if q <= 5 else 3
-    rec.equal(f"brute-spot[p={p},d=2]", "cdens/brute-spot",
-              lambda: (alpha_brute((1, 0), (1, 0), p, 2),
-                       alpha_value(hironaka_coeffs((1, 0), (1, 0))).evaluate(p)))
+    if p == 5:
+        # the rank-2 target of the p = 3 spot is over alpha_brute's budget at p = 5
+        cid, lam = "brute-spot[xi=1,0;lam=1;p=5,d=2]", (1,)
+    else:
+        cid, lam = f"brute-spot[p={p},d=2]", (1, 0)
+    rec.equal(cid, "cdens/brute-spot",
+              lambda: (alpha_brute((1, 0), lam, p, 2),
+                       alpha_value(hironaka_coeffs((1, 0), lam)).evaluate(p)))
 
     def pad_pairs():
         for n in (1, 2):
@@ -531,6 +543,7 @@ def resolve_suite(name: str) -> str:
 
 def run_suite(name: str, q: int = 3) -> dict:
     canonical = resolve_suite(name)
+    _check_prime(q)
     rec = Recorder()
     t0 = time.perf_counter()
     targets = list(SUITES) if canonical == "all" else [canonical]

@@ -10,6 +10,7 @@ from hermdens.beta import (
     vandermonde_inverse_route,
     verify_thm314,
 )
+from hermdens.errors import BudgetError
 from hermdens.reps import diagonal, make_monomial
 from hermdens.symb import SL_ONE, SignedRational, npq, sr_solve_linear
 
@@ -96,3 +97,47 @@ def test_thm314_identity_spot():
         for B in (diagonal((0, 0)), diagonal((1, -1)), diagonal((2, 1))):
             assert verify_thm314(B, h)["match"], (h, B)
     assert verify_thm314(anti, 1)["match"]
+
+
+@pytest.mark.parametrize("n,hs", [(1, range(3)), (2, range(5)), (3, range(7)),
+                                  (4, range(9)), (6, (0, 5, 12))])
+def test_solution_residual(n, hs):
+    # multiply back through the system; uses neither solver
+    for h in hs:
+        mat, rhs = build_system(n, h)
+        sol = solve_constants(n, h)
+        vec = list(sol.beta_h) + [-b for b in sol.beta_dual] + [sol.delta]
+        for row, want in zip(mat, rhs):
+            acc = SignedRational(0)
+            for a, x in zip(row, vec):
+                acc = acc + a * x
+            assert acc == want, (n, h)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_beta_closed_last_large_n(n):
+    assert solve_constants(n, n - 1).beta_h[n - 1] == beta_closed_last(n)
+
+
+def test_solve_constants_rejections():
+    with pytest.raises(ValueError) as exc:
+        solve_constants(1, 3)
+    assert not isinstance(exc.value, BudgetError)
+    with pytest.raises(BudgetError):
+        solve_constants(9, 1)
+    # the budget is checked before the range
+    with pytest.raises(BudgetError):
+        solve_constants(9, 100)
+
+
+@pytest.mark.parametrize("n,h", [(1, 0), (3, 2), (4, 8)])
+def test_one_canonicalization_per_unknown(n, h, monkeypatch):
+    calls = []
+    init = SignedRational.__init__
+
+    def counting(self, *args, **kw):
+        calls.append(1)
+        init(self, *args, **kw)
+    monkeypatch.setattr(SignedRational, "__init__", counting)
+    solve_constants(n, h)
+    assert len(calls) == 2 * n + 1

@@ -12,19 +12,29 @@ from hermdens.cdens import (
     hironaka_coeffs,
     jcount_oracle,
     jfun_n1,
-    pi_an_exponents,
     prop_a5_value,
     san_alpha2,
     san_alpha2_prime,
-    scale_alpha,
     thm42_display,
 )
 from hermdens.errors import BudgetError
 from hermdens.reps import a_t, diagonal, dual_vee, make_monomial
-from hermdens.symb import SL_ONE, SignedRational, npq
+from hermdens.symb import SL_ONE, SignedRational, npq, qpow
 from hermdens.whit import alpha_iwahori_brute, w_density_n1
 
 SAN_PAIRS = [(0, 0), (2, 0), (1, 1), (3, 1), (4, 2)]
+
+
+def pi_an_exponents(n: int, r: int) -> tuple[int, ...]:
+    """Exponents of pi * (A_n padded by 2r unimodular slots)."""
+    if n < 1 or r < 0:
+        raise ValueError("need n >= 1 and r >= 0")
+    return (1,) * (n + 2 * r) + (0,) * n
+
+
+def scale_alpha(value: SignedRational, k: int) -> SignedRational:
+    """Turn alpha(C, D) into alpha(pi C, pi D) when D has size k."""
+    return value * SignedRational(qpow(k * k))
 
 
 class TestPolynomial:

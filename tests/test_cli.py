@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from hermdens import verify
 from hermdens.cli import main
+from hermdens.errors import BudgetError, InvariantError
 
 
 @pytest.fixture
@@ -204,6 +206,51 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self, runner):
         assert invoke(runner, ["verify", "--suite", "nope"]).exit_code == 2
+
+    @pytest.mark.parametrize("q", ["1", "4", "9"])
+    def test_q_not_odd_prime(self, runner, q, monkeypatch):
+        ran = []
+        monkeypatch.setitem(verify.SUITES, "jfun-h0", lambda rec, q: ran.append(q))
+        res = invoke(runner, ["verify", "--suite", "jfun-h0", "--q", q])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert ran == []
+
+    def test_failing_suite_exits_one(self, runner, monkeypatch):
+        def failing(rec, q):
+            rec.equal("forced", "test/forced", lambda: (1, 2))
+        monkeypatch.setitem(verify.SUITES, "jfun-h0", failing)
+        res = invoke(runner, ["verify", "--suite", "jfun-h0"])
+        assert res.exit_code == 1
+        assert "[fail]" in res.stdout
+        assert "internal error" not in res.stderr
+
+    def test_check_error_recorded_as_failure(self, runner, monkeypatch):
+        def raising(rec, q):
+            def over_budget():
+                raise BudgetError("too many pairs")
+            def broken():
+                raise InvariantError("tail is not geometric")
+                yield
+            rec.equal("over-budget", "test/errors", over_budget)
+            rec.sweep("broken", "test/errors", broken())
+            rec.equal("after", "test/errors", lambda: (1, 1))
+        monkeypatch.setitem(verify.SUITES, "jfun-h0", raising)
+        res = invoke(runner, ["--json", "verify", "--suite", "jfun-h0"])
+        assert res.exit_code == 1
+        assert "internal error" not in res.stderr
+        doc = out_json(res)
+        assert (doc["passed"], doc["failed"]) == (1, 2)
+        status = {c["id"]: (c["status"], c["lhs"]) for c in doc["checks"]}
+        assert status["over-budget"] == ("fail", "BudgetError: too many pairs")
+        assert status["broken"] == ("fail", "InvariantError: tail is not geometric")
+        assert status["after"][0] == "pass"
+
+    def test_brute_spot_within_budget_at_q5(self, runner):
+        res = invoke(runner, ["--json", "verify", "--suite", "partition-sums", "--q", "5"])
+        assert res.exit_code == 0
+        ids = [c["id"] for c in out_json(res)["checks"]]
+        assert "brute-spot[xi=1,0;lam=1;p=5,d=2]" in ids
 
 
 class TestGlobalOptions:

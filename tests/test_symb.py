@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hermdens.symb import (
     SignedLaurent,
     SignedRational,
-    geometric_sum,
     npq,
     qpow,
     sr_solve_linear,
@@ -102,52 +101,6 @@ def test_rational_eval(a, b, q):
 def test_json_round_trip(a):
     p = SignedRational(a, ONE + S ** 2)
     assert SignedRational.from_json(p.to_json()) == p
-
-
-def test_geometric_sum_infinite_examples():
-    # sum over e >= 0 of q^-5 (q-1) q^-e
-    first = qpow(-4) - qpow(-5)
-    assert geometric_sum(first, qpow(-1), "infinite") == SignedRational(S ** -4)
-    # sum over e >= 0 of q^-5 (q^2-1) (-q)^-4e
-    first = qpow(-3) - qpow(-5)
-    Q = SignedRational(qpow(1))
-    target = SignedRational(qpow(-1)) / (Q ** 2 + 1)
-    assert geometric_sum(first, npq(-4), "infinite") == target
-
-
-def test_geometric_sum_finite_matches_term_sum():
-    first = npq(2, 3)
-    ratio = npq(-1, Fraction(1, 2))
-    total = SignedRational(0)
-    acc = SignedLaurent(first.coeffs)
-    for _ in range(5):
-        total = total + acc
-        acc = acc * ratio
-    assert geometric_sum(first, ratio, 5) == total
-
-
-def test_geometric_sum_ratio_one():
-    assert geometric_sum(npq(1), ONE, 4) == SignedRational(npq(1, 4))
-    with pytest.raises(ValueError):
-        geometric_sum(npq(1), ONE, "infinite")
-
-
-def test_geometric_sum_errors():
-    with pytest.raises(ValueError):
-        geometric_sum(npq(0), npq(1), "infinite")  # expanding ratio
-    with pytest.raises(ValueError):
-        geometric_sum(npq(0), npq(-1), 0)
-    with pytest.raises(ValueError):
-        geometric_sum(SignedLaurent.zero(), npq(-1), 2)
-
-
-@given(laurents, st.integers(min_value=-5, max_value=-1), st.fractions(min_value=-4, max_value=4, max_denominator=3))
-def test_geometric_sum_functional_identity(first, rexp, rc):
-    if first.is_zero() or rc == 0:
-        return
-    ratio = SignedLaurent.monomial(rexp, rc)
-    total = geometric_sum(first, ratio, "infinite")
-    assert total * SignedRational(ONE - ratio) == SignedRational(first)
 
 
 def test_solve_linear_2x2():

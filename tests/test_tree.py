@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from hermdens.cdens import jfun_n1
+from hermdens.reps import diagonal
+from hermdens.symb import SignedRational
 from hermdens.tree import (
     TreeInstance,
     bfs_census,
-    cross_check_jfun,
     enumerate_ball_intersection,
     fk_buckets,
     intersect_zy,
@@ -17,6 +19,18 @@ from hermdens.tree import (
     vertical_pairing,
     weight_pz,
 )
+
+
+def cross_check_jfun(inst: TreeInstance):
+    """Compare the tree total with the density-side functional on a split form."""
+    total = intersect_zy(inst)["total"]
+    want = SignedRational(Fraction(inst.vdet, 2) + 1)
+    jval = jfun_n1(1, diagonal((inst.vdet, 0)))
+    return {
+        "total": total,
+        "jfun": jval,
+        "match": jval == want and total == Fraction(inst.vdet, 2) + 1,
+    }
 
 
 def valid_instances(qs, m_max, d_max):
