@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import BudgetError, InvariantError
@@ -63,6 +64,7 @@ def _subpartitions(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, bound[0] if n else 0, [])
 
 
+@lru_cache(maxsize=None)
 def gauss_bracket(u: int, v: int) -> SignedRational:
     """Product-form binomial built from (1 - s^-i) factors; zero outside 0<=v<=u."""
     if v < 0 or v > u:

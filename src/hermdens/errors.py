@@ -3,8 +3,8 @@
 BudgetError subclasses ValueError so existing guard call sites keep their
 contract; the command line layer tells the two apart for exit codes.
 InvariantError marks a broken internal identity (a tail that is not
-geometric, a table value of the wrong shape); it is raised explicitly so the
-check survives `python -O`, and the command line maps it to exit 1.
+geometric); it is raised explicitly so the check survives `python -O`, and
+the command line maps it to exit 1.
 """
 
 

@@ -9,10 +9,11 @@ with regions O (the full ring of integers), O_unit (units), and piO (the
 maximal ideal).  psi has conductor exactly the base ring, the residue field
 of the extension has q^2 elements, and vol(O) = 1.
 
-Closed forms are expressed in the signed variable s = -q.  The independent
-oracle charsum_oracle recomputes every value by summing actual character
-values over residue rings of Z_p[w]/(w^2 - c): root-of-unity bookkeeping is
-done exactly (fiber counts must be constant on Galois orbits, and sums of
+Closed forms are expressed in the signed variable s = -q and stored as
+factored terms (norm_term, trace_pair_term); norm_integral and
+trace_pair_integral expand them.  The independent oracle charsum_oracle
+recomputes every value by summing actual character values over residue
+rings of Z_p[w]/(w^2 - c): root-of-unity bookkeeping is done exactly (fiber counts must be constant on Galois orbits, and sums of
 primitive p^l-th roots collapse to 1, -1, or 0), so the result is a Fraction
 with no numerical cancellation anywhere.
 
@@ -23,86 +24,77 @@ brute-force density oracles in cdens and whit are thin callers of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
 from .errors import BudgetError, InvariantError
-from .symb import SL_ONE, SignedLaurent, SignedRational, npq
+from .symb import SR_ZERO, SignedRational, _expand
+
+REGIONS = ("O", "O_unit", "piO")
 
 
-@dataclass(frozen=True)
-class Region:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("O", "O_unit", "piO"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-
-
-R_O = Region("O")
-R_UNIT = Region("O_unit")
-R_PI = Region("piO")
-
-
-def _as_region(r) -> Region:
-    if isinstance(r, Region):
-        return r
-    return Region(str(r))
+def _check_region(region: str) -> str:
+    if region not in REGIONS:
+        raise ValueError(f"unknown region kind {region!r}")
+    return region
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# closed forms, as factored terms (c, N, A, B) = c s^N (s-1)^A (s+1)^B
 
 
-def _sr_mono(exp: int) -> SignedRational:
-    return SignedRational(npq(exp))
+_UNIT_VOL = (1, -2, 1, 1)  # 1 - q^-2 in s
 
 
-_UNIT_VOL = SignedRational(SL_ONE - npq(-2))  # 1 - q^-2 in s
-
-
-def norm_integral(region, e: int) -> SignedRational:
-    r = _as_region(region)
-    if r.kind == "O":
-        return _sr_mono(min(0, e))
-    if r.kind == "piO":
-        return _sr_mono(min(0, e + 2) - 2)
+def norm_term(region: str, e: int):
+    """The norm integral over one region as a factored term, None when zero."""
+    _check_region(region)
+    if region == "O":
+        return 1, min(0, e), 0, 0
+    if region == "piO":
+        return 1, min(0, e + 2) - 2, 0, 0
     # units: nonzero only for e >= -1
     if e >= 0:
         return _UNIT_VOL
     if e == -1:
-        return SignedRational(npq(-1) - npq(-2))  # -q^-1 - q^-2
-    return SignedRational(0)
+        return 1, -2, 1, 0  # -q^-1 - q^-2
+    return None
+
+
+def trace_pair_term(r1: str, r2: str, e: int):
+    """The trace pair integral as a factored term, None when zero; symmetric in the regions."""
+    pair = tuple(sorted((_check_region(r1), _check_region(r2))))
+    if pair == ("O", "O"):
+        return 1, 2 * min(0, e), 0, 0
+    if pair == ("O", "piO"):
+        return 1, 2 * min(0, e + 1) - 2, 0, 0
+    if pair == ("piO", "piO"):
+        return 1, 2 * min(0, e + 2) - 4, 0, 0
+    if pair == ("O", "O_unit"):
+        return _UNIT_VOL if e >= 0 else None
+    if pair == ("O_unit", "piO"):
+        return (1, -4, 1, 1) if e >= -1 else None  # q^-2 (1 - q^-2)
+    # both unit
+    if e >= 0:
+        return 1, -4, 2, 2  # (1 - q^-2)^2
+    if e == -1:
+        return -1, -4, 1, 1  # -q^-2 (1 - q^-2)
+    return None
+
+
+def norm_integral(region: str, e: int) -> SignedRational:
+    term = norm_term(region, e)
+    return SR_ZERO if term is None else _expand(term)
+
+
+def trace_pair_integral(r1: str, r2: str, e: int) -> SignedRational:
+    term = trace_pair_term(r1, r2, e)
+    return SR_ZERO if term is None else _expand(term)
 
 
 def trace_integral_J1(e: int) -> SignedRational:
     return SignedRational(1 if e >= 0 else 0)
-
-
-def trace_pair_integral(r1, r2, e: int) -> SignedRational:
-    """Symmetric in the two regions."""
-    k1, k2 = _as_region(r1).kind, _as_region(r2).kind
-    pair = tuple(sorted((k1, k2)))
-    if pair == ("O", "O"):
-        return _sr_mono(2 * min(0, e))
-    if pair == ("O", "piO"):
-        return _sr_mono(2 * min(0, e + 1) - 2)
-    if pair == ("piO", "piO"):
-        return _sr_mono(2 * min(0, e + 2) - 4)
-    if pair == ("O", "O_unit"):
-        return _UNIT_VOL if e >= 0 else SignedRational(0)
-    if pair == ("O_unit", "piO"):
-        if e >= -1:
-            return SignedRational(npq(-2)) * _UNIT_VOL
-        return SignedRational(0)
-    # both unit
-    if e >= 0:
-        return _UNIT_VOL * _UNIT_VOL
-    if e == -1:
-        return SignedRational(npq(-2)) * _UNIT_VOL * SignedRational(-1)
-    return SignedRational(0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +179,7 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
             if len(regions) != 1:
                 raise ValueError("norm kind takes exactly one region")
             regions = regions[0]
-        r = _as_region(regions).kind
+        r = _check_region(regions)
         sq = [a * a % pm for a in range(pm)]
         fibers: dict[int, int] = {}
         if r == "piO":
@@ -206,8 +198,7 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
     if kind == "trace_pair":
         if not isinstance(regions, (tuple, list)) or len(regions) != 2:
             raise ValueError("trace_pair kind takes a pair of regions")
-        k1 = _as_region(regions[0]).kind
-        k2 = _as_region(regions[1]).kind
+        k1, k2 = map(_check_region, regions)
         total = Fraction(0)
         for d1, s1 in _region_coord_depth(k1):
             for d2, s2 in _region_coord_depth(k2):

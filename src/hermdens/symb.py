@@ -11,11 +11,16 @@ Canonical form of a SignedRational: numerator and denominator share no
 polynomial factor (full Euclidean gcd, not just monomial gcd), the
 denominator has minimal exponent 0, and its constant coefficient is +1.
 That makes the representation unique, so equality is dict comparison.
+
+Table values, gram products and density terms travel as factored terms
+(c, N, A, B), standing for c s^N (s-1)^A (s+1)^B; _expand is the one place
+that turns such a term into a SignedRational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class SignedLaurent:
@@ -329,11 +334,6 @@ class SignedRational:
     def is_monomial(self) -> bool:
         return self.num.is_monomial() and self.den == SignedLaurent.one()
 
-    def as_laurent(self) -> SignedLaurent:
-        if self.den != SignedLaurent.one():
-            raise ValueError("not a Laurent polynomial: " + str(self))
-        return self.num
-
     # -- field operations ------------------------------------------------
 
     def __add__(self, other):
@@ -521,3 +521,26 @@ SL_ONE = SignedLaurent.one()
 SL_ZERO = SignedLaurent.zero()
 SR_ONE = SignedRational(1)
 SR_ZERO = SignedRational(0)
+
+
+# ---------------------------------------------------------------------------
+# factored terms: the tuple (c, N, A, B) stands for c s^N (s-1)^A (s+1)^B
+
+
+@lru_cache(maxsize=None)
+def _pm_coeffs(a: int, b: int) -> tuple:
+    """Integer coefficients of (s - 1)^a (s + 1)^b, constant term first."""
+    out = [1]
+    for root in (1,) * a + (-1,) * b:
+        out = [x - root * y for x, y in zip([0] + out, out + [0])]
+    return tuple(out)
+
+
+def _pm_poly(a: int, b: int) -> SignedLaurent:
+    return SignedLaurent(dict(enumerate(_pm_coeffs(a, b))))
+
+
+def _expand(term: tuple) -> SignedRational:
+    c, n, a, b = term
+    num = SignedLaurent({e: c * x for e, x in enumerate(_pm_coeffs(max(a, 0), max(b, 0)), n)})
+    return SignedRational(num, _pm_poly(max(-a, 0), max(-b, 0)))

@@ -16,6 +16,10 @@ from typing import Iterator
 
 from .errors import BudgetError, InvariantError
 
+# the pairings sum O(d * radius) vertex classes with counts up to q^radius
+TREE_MAX_RADIUS = 500
+TREE_MAX_Q = 2 ** 31
+
 
 @dataclass(frozen=True)
 class TreeInstance:
@@ -26,6 +30,9 @@ class TreeInstance:
     vdet: int = -1  # -1 means derive from the ball data
 
     def __post_init__(self):
+        if max(self.m_x, self.m_y, self.d) > TREE_MAX_RADIUS or self.q > TREE_MAX_Q:
+            raise BudgetError(f"tree instances take radii and distance <= {TREE_MAX_RADIUS} "
+                              f"and q <= {TREE_MAX_Q}")
         if self.q < 2:
             raise ValueError("q must be at least 2")
         if self.m_x < 0 or self.m_y < 0 or self.d < 0:

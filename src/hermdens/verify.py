@@ -4,10 +4,8 @@ Each suite replays a family of exact identities at desk scale and reports
 one record per check.  A check carries a stable anchor slug (these are
 indexed in the README), the two compared values as strings, and its own
 compute time.  Sweep checks compress many comparisons into a mismatch
-count so reports stay readable.
-
-Suite names are dashed and descriptive; SUITE_ALIASES lists the accepted
-alternate spellings kept for external tooling.
+count so reports stay readable.  Suite code does its work inside the
+checks, so an error it raises fails one check and the run goes on.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .beta import (
     beta_closed_last,
@@ -41,7 +40,7 @@ from .cdens import (
     thm42_display,
 )
 from .errors import BudgetError, InvariantError
-from .locint import _check_prime, charsum_oracle, norm_integral, trace_integral_J1, trace_pair_integral
+from .locint import REGIONS, _check_prime, charsum_oracle, norm_integral, trace_integral_J1, trace_pair_integral
 from .reps import (
     WeightProfile,
     classify,
@@ -66,7 +65,6 @@ from .whit import (
     w_density_truncated,
 )
 
-REGIONS = ("O", "O_unit", "piO")
 A1 = diagonal((0, -1))
 
 
@@ -172,15 +170,16 @@ def _suite_gram_duality(rec: Recorder, q: int):
     rec.sweep("pairing-swap-n2[sampled]", "gram-duality/n2-sample",
               ((gram_g(Y, B), gram_g(dual_wedge(Y, h), dual_vee(B, h)))
                for h in (1, 2, 3) for Y in ys2 for B in bs2))
-    rng3 = random.Random(17)
-    reps3 = list(enumerate_reps(3, -1, 1))
-    pairs3 = []
-    for _ in range(100):
-        Y = rng3.choice(reps3)
-        h = rng3.randint(0, 6)
-        B = diagonal(tuple(sorted(rng3.randint(-1, 2) for _ in range(6))))
-        pairs3.append((gram_g(Y, B), gram_g(dual_wedge(Y, h), dual_vee(B, h))))
-    rec.sweep("pairing-swap-n3[random-100]", "gram-duality/n3-random", pairs3)
+
+    def pairs3():
+        rng3 = random.Random(17)
+        reps3 = list(enumerate_reps(3, -1, 1))
+        for _ in range(100):
+            Y = rng3.choice(reps3)
+            h = rng3.randint(0, 6)
+            B = diagonal(tuple(sorted(rng3.randint(-1, 2) for _ in range(6))))
+            yield gram_g(Y, B), gram_g(dual_wedge(Y, h), dual_vee(B, h))
+    rec.sweep("pairing-swap-n3[random-100]", "gram-duality/n3-random", pairs3())
 
 
 def _suite_alpha_duality(rec: Recorder, q: int):
@@ -232,13 +231,17 @@ def _suite_iwahori_sum(rec: Recorder, q: int):
               lambda: (w_density_n1(A1, 1, 0)[0], SignedRational(0)))
     rec.equal("top-prime[q=3]", "iwahori-sum/top-prime",
               lambda: (w_density_n1(A1, 1, 1)[1].evaluate(3), Fraction(-4, 243)))
-    exact = w_density_n1(A1, 1, 1)
-    trunc = w_density_truncated(A1, WeightProfile(1, 1, 1, 0), q, 20)
+
+    @lru_cache(maxsize=None)
+    def densities():
+        """(truncated, exact) density, computed by the first check that asks."""
+        return (w_density_truncated(A1, WeightProfile(1, 1, 1, 0), q, 20),
+                w_density_n1(A1, 1, 1))
     tol = Fraction(1, 10 ** 9)
     rec.close(f"truncated-value[q={q},window=20]", "iwahori-sum/truncated",
-              lambda: (trunc["value"], exact[0].evaluate(q)), tol)
+              lambda: (densities()[0]["value"], densities()[1][0].evaluate(q)), tol)
     rec.close(f"truncated-prime[q={q},window=20]", "iwahori-sum/truncated",
-              lambda: (trunc["derivative"], exact[1].evaluate(q)), tol)
+              lambda: (densities()[0]["derivative"], densities()[1][1].evaluate(q)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +330,23 @@ def _suite_jfun_assembly(rec: Recorder, q: int):
 # ---------------------------------------------------------------------------
 # tree side
 
+def _tree_instance(*args, **kw):
+    """The instance, or None for a geometry TreeInstance rejects; a BudgetError propagates."""
+    try:
+        return TreeInstance(*args, **kw)
+    except BudgetError:
+        raise
+    except ValueError:
+        return None
+
+
 def _suite_tree(rec: Recorder, q: int):
     def case3_pairs():
         for m_x in range(0, 6):
             for m_y in range(0, 6):
                 for d in range(0, 12):
-                    try:
-                        inst = TreeInstance(q, m_x, m_y, d)
-                    except ValueError:
-                        continue
-                    if inst.case == 3:
+                    inst = _tree_instance(q, m_x, m_y, d)
+                    if inst is not None and inst.case == 3:
                         yield intersect_zy(inst)["total"], Fraction(inst.r + 1)
     rec.sweep(f"case3-totals[q={q},m<=5,d<=11]", "tree/case3-closed", case3_pairs())
 
@@ -346,11 +356,8 @@ def _suite_tree(rec: Recorder, q: int):
                 for d in range(0, 12):
                     for extra in (0, 2, 4):
                         vd = m_x + m_y - d + extra if d <= m_x + m_y else extra
-                        try:
-                            inst = TreeInstance(q, m_x, m_y, d, vdet=vd)
-                        except ValueError:
-                            continue
-                        if inst.case in (1, 2):
+                        inst = _tree_instance(q, m_x, m_y, d, vdet=vd)
+                        if inst is not None and inst.case in (1, 2):
                             yield (intersect_zy(inst)["total"],
                                    Fraction(inst.vdet, 2) + 1)
     rec.sweep(f"engulfed-totals[q={q}]", "tree/engulfed-closed", engulfed_pairs())
@@ -360,11 +367,8 @@ def _suite_tree(rec: Recorder, q: int):
             for r2 in range(0, m_y + 3, 2):
                 m_x = m_y + 2 + r2
                 d = m_x + m_y - 2 * r2
-                try:
-                    inst = TreeInstance(q, m_x, m_y, d)
-                except ValueError:
-                    continue
-                if inst.case != 3 or inst.m_y + 1 >= inst.m_x:
+                inst = _tree_instance(q, m_x, m_y, d)
+                if inst is None or inst.case != 3 or inst.m_y + 1 >= inst.m_x:
                     continue
                 r = inst.r
                 if r % 2 or m_y - r > r:
@@ -508,25 +512,6 @@ SUITES = {
     "count-bridge": _suite_count_bridge,
 }
 
-# accepted alternate spellings kept for external tooling
-SUITE_ALIASES = {
-    "lemma3_8": "gram-duality",
-    "lemma3_9": "alpha-duality",
-    "lemma3_13": "profile-forms",
-    "lemma4_1": "iwahori-sum",
-    "thm3_14": "beta-system",
-    "thm3_16": "jfun-unimodular",
-    "thm3_24": "jfun-duality",
-    "thm4_2": "jfun-h0",
-    "lemma4_4": "jfun-assembly",
-    "thm4_8": "tree-intersections",
-    "propA": "beta-closed-form",
-    "propA5": "closed-products",
-    "hironaka": "partition-sums",
-    "appendix": "appendix-compat",
-    "jd_bridge": "count-bridge",
-}
-
 
 def suite_names() -> list[str]:
     return list(SUITES) + ["all"]
@@ -536,8 +521,6 @@ def resolve_suite(name: str) -> str:
     name = name.strip()
     if name in SUITES or name == "all":
         return name
-    if name in SUITE_ALIASES:
-        return SUITE_ALIASES[name]
     raise ValueError(f"unknown suite {name!r}; try one of {', '.join(suite_names())}")
 
 

@@ -27,103 +27,17 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import BudgetError, InvariantError
-from .locint import _check_prime, count_solutions, norm_integral, trace_pair_integral
+from .locint import _check_prime, count_solutions, norm_term, trace_pair_term
 from .reps import MonomialHermitian, WeightProfile, classify, diagonal, make_monomial
-from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, npq
+from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, _expand, _pm_coeffs, _pm_poly, npq
 
 
 def _min0(x: int) -> int:
     return x if x < 0 else 0
 
 
-def _slot_region(k: int, j: int) -> str:
-    if k < j:
-        return "O"
-    if k == j:
-        return "O_unit"
-    return "piO"
-
-
-def _slot_integral(fixed: bool, r1: str, r2: str, exp: int):
-    """Slot table value as a plain exponent -> int dict, None when zero.
-
-    Every table value is a polynomial in s with integer coefficients; the
-    dict is only the input to _slot_factor.
-    """
-    fac = norm_integral(r1, exp) if fixed else trace_pair_integral(r1, r2, exp)
-    if fac.den != SL_ONE:
-        raise InvariantError(f"slot value is not a Laurent polynomial: {fac!r}")
-    if fac.num.is_zero():
-        return None
-    out = {}
-    for e, c in fac.num.coeffs.items():
-        if c.denominator != 1:
-            raise InvariantError(f"slot value has a fractional coefficient: {fac!r}")
-        out[e] = c.numerator
-    return out
-
-
-def _synth_div(coeffs: list, root: int):
-    """Divide sum coeffs[i] s^i by (s - root): (quotient coeffs, remainder)."""
-    acc = 0
-    out = []
-    for a in reversed(coeffs):
-        acc = a + root * acc
-        out.append(acc)
-    rem = out.pop()
-    out.reverse()
-    return out, rem
-
-
-@lru_cache(maxsize=None)
-def _slot_factor(fixed: bool, r1: str, r2: str, exp: int):
-    """Slot table value as a factored term (c, N, A, B), None when zero.
-
-    Synthetic division strips (s - 1) and then (s + 1) while the remainder
-    vanishes; what is left of the table value must be a constant, and it is
-    an int because _slot_integral rejects fractional coefficients.
-    """
-    poly = _slot_integral(fixed, r1, r2, exp)
-    if poly is None:
-        return None
-    low = min(poly)
-    coeffs = [poly.get(e, 0) for e in range(low, max(poly) + 1)]
-    mult = []
-    for root in (1, -1):
-        k = 0
-        while len(coeffs) > 1:
-            quot, rem = _synth_div(coeffs, root)
-            if rem:
-                break
-            coeffs = quot
-            k += 1
-        mult.append(k)
-    if len(coeffs) != 1:
-        raise InvariantError(f"slot value does not factor over s, s - 1, s + 1: {poly}")
-    return coeffs[0], low, mult[0], mult[1]
-
-
 # ---------------------------------------------------------------------------
 # factored terms: the tuple (c, N, A, B) stands for c s^N (s-1)^A (s+1)^B
-
-
-@lru_cache(maxsize=None)
-def _pm_coeffs(a: int, b: int) -> tuple:
-    """Integer coefficients of (s - 1)^a (s + 1)^b, constant term first."""
-    out = [1]
-    for root in (1,) * a + (-1,) * b:
-        out = [x - root * y for x, y in zip([0] + out, out + [0])]
-    return tuple(out)
-
-
-def _pm_poly(a: int, b: int) -> SignedLaurent:
-    return SignedLaurent(dict(enumerate(_pm_coeffs(a, b))))
-
-
-def _expand(term: tuple) -> SignedRational:
-    c, n, a, b = term
-    num = SignedLaurent({e: c * x for e, x in enumerate(_pm_coeffs(max(a, 0), max(b, 0)), n)})
-    return SignedRational(num, _pm_poly(max(-a, 0), max(-b, 0)))
 
 
 def _tmul(x: tuple, y: tuple) -> tuple:
@@ -158,33 +72,57 @@ def _evaluate(term: tuple, q: int) -> Fraction:
     return c * s ** n * (s - 1) ** a * (s + 1) ** b
 
 
-def _slot_key(Y: MonomialHermitian, B: MonomialHermitian, k: int, j: int):
-    pk, pj = B.sigma_of(k), Y.sigma_of(j)
-    if (pk, pj) < (k, j):
-        return None
-    exp = Y.e_of(j) + B.e_of(k)
-    if (pk, pj) == (k, j):
-        return True, _slot_region(k, j), "", exp
-    return False, _slot_region(k, j), _slot_region(pk, pj), exp
+# ---------------------------------------------------------------------------
+# gram products
+
+
+def _slot_region(k: int, j: int) -> str:
+    if k < j:
+        return "O"
+    if k == j:
+        return "O_unit"
+    return "piO"
+
+
+@lru_cache(maxsize=None)
+def _slot_factor(r1: str, r2, exp: int):
+    """Slot table value as a factored term, None when zero; r2 is None on a fixed slot."""
+    return norm_term(r1, exp) if r2 is None else trace_pair_term(r1, r2, exp)
+
+
+@lru_cache(maxsize=None)
+def _gram_plan(ysigma: tuple, bsigma: tuple) -> tuple:
+    """The slot orbits a gram product visits, one (r1, r2, j, k) per orbit.
+
+    Slot (k, j) pairs with (tau(k), sigma(j)); the orbit's exponent is
+    Y.e[j] + B.e[k] (0-based j, k) and r2 is None on a fixed slot.  Only the
+    exponents vary between pairs sharing the two involutions.
+    """
+    plan = []
+    for k in range(1, len(bsigma) + 1):
+        for j in range(1, len(ysigma) + 1):
+            pk, pj = bsigma[k - 1], ysigma[j - 1]
+            if (pk, pj) < (k, j):
+                continue
+            r2 = None if (pk, pj) == (k, j) else _slot_region(pk, pj)
+            plan.append((_slot_region(k, j), r2, j - 1, k - 1))
+    return tuple(plan)
 
 
 def _gram_factor(Y: MonomialHermitian, B: MonomialHermitian):
     """gram_g(Y, B) as a factored term, None when it vanishes."""
     if Y.size != B.size:
         raise ValueError("size mismatch")
+    ye, be = Y.e, B.e
     c, n, a, b = 1, 0, 0, 0
-    for k in range(1, Y.size + 1):
-        for j in range(1, Y.size + 1):
-            key = _slot_key(Y, B, k, j)
-            if key is None:
-                continue
-            f = _slot_factor(*key)
-            if f is None:
-                return None
-            c *= f[0]
-            n += f[1]
-            a += f[2]
-            b += f[3]
+    for r1, r2, j, k in _gram_plan(Y.sigma, B.sigma):
+        f = _slot_factor(r1, r2, ye[j] + be[k])
+        if f is None:
+            return None
+        c *= f[0]
+        n += f[1]
+        a += f[2]
+        b += f[3]
     return c, n, a, b
 
 

@@ -182,6 +182,14 @@ class TestTree:
                               "--d", "0", "--per-f"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["--q", "3", "--mx", "100000", "--my", "100000", "--d", "2"],
+                                      ["--q", "3", "--mx", "501", "--my", "1", "--d", "500"],
+                                      ["--q", str(2 ** 31 + 1), "--mx", "3", "--my", "2", "--d", "1"]])
+    def test_budget_exit_code(self, runner, args):
+        res = invoke(runner, ["tree", *args])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+
     def test_engulfed_needs_vdet(self, runner):
         res = invoke(runner, ["tree", "--q", "3", "--mx", "6", "--my", "1",
                               "--d", "1", "--vdet", "10"])
@@ -196,8 +204,8 @@ class TestVerifyCommand:
         assert res.exit_code == 0
         assert "0 failed" in res.stdout
 
-    def test_alias_token(self, runner):
-        res = invoke(runner, ["--json", "verify", "--suite", "lemma4_4"])
+    def test_json_report_fields(self, runner):
+        res = invoke(runner, ["--json", "verify", "--suite", "jfun-assembly"])
         doc = out_json(res)
         assert doc["suite"] == "jfun-assembly"
         assert doc["failed"] == 0
@@ -206,6 +214,11 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self, runner):
         assert invoke(runner, ["verify", "--suite", "nope"]).exit_code == 2
+
+    def test_former_alias_rejected(self, runner):
+        res = invoke(runner, ["verify", "--suite", "lemma3_8"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("q", ["1", "4", "9"])
     def test_q_not_odd_prime(self, runner, q, monkeypatch):
@@ -245,6 +258,22 @@ class TestVerifyCommand:
         assert status["over-budget"] == ("fail", "BudgetError: too many pairs")
         assert status["broken"] == ("fail", "InvariantError: tail is not geometric")
         assert status["after"][0] == "pass"
+
+    def test_setup_error_fails_checks_only(self, runner, monkeypatch):
+        # every gram-duality check computes gram_g; none may abort the run
+        def broken(Y, B):
+            raise InvariantError("gram product broken")
+        monkeypatch.setattr(verify, "gram_g", broken)
+        res = invoke(runner, ["--json", "verify", "--suite", "gram-duality"])
+        assert res.exit_code == 1
+        assert "internal error" not in res.stderr
+        doc = out_json(res)
+        assert [c["id"] for c in doc["checks"]] == [
+            "pairing-swap-n1[h=0]", "pairing-swap-n1[h=1]", "pairing-swap-n1[h=2]",
+            "pairing-swap-n2[sampled]", "pairing-swap-n3[random-100]"]
+        assert (doc["passed"], doc["failed"]) == (0, 5)
+        for c in doc["checks"]:
+            assert c["lhs"] == "InvariantError: gram product broken"
 
     def test_brute_spot_within_budget_at_q5(self, runner):
         res = invoke(runner, ["--json", "verify", "--suite", "partition-sums", "--q", "5"])

@@ -5,10 +5,6 @@ import pytest
 
 from hermdens.errors import InvariantError
 from hermdens.locint import (
-    R_O,
-    R_PI,
-    R_UNIT,
-    Region,
     _collapse,
     _trace_brute,
     charsum_oracle,
@@ -22,9 +18,12 @@ REGIONS = ["O", "O_unit", "piO"]
 
 
 def test_region_validation():
-    with pytest.raises(ValueError):
-        Region("units")
-    assert R_O.kind == "O" and R_UNIT.kind == "O_unit" and R_PI.kind == "piO"
+    with pytest.raises(ValueError, match="units"):
+        norm_integral("units", 0)
+    with pytest.raises(ValueError, match="units"):
+        trace_pair_integral("O", "units", 0)
+    with pytest.raises(ValueError, match="units"):
+        charsum_oracle(3, "norm", "units", 0, 2)
 
 
 def test_norm_volumes():

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from hermdens import whit
-from hermdens.errors import InvariantError
 from hermdens.locint import norm_integral, trace_pair_integral
 from hermdens.reps import (
     WeightProfile,
@@ -274,13 +273,6 @@ def test_factored_term_matches_product():
                             assert want.is_zero(), (Y, B, prof)
                         else:
                             assert whit._expand(got) == want, (Y, B, prof)
-
-
-def test_slot_factor_rejects_unfactored_value(monkeypatch):
-    # 1 + s^2 has no root at s = +-1
-    monkeypatch.setattr(whit, "_slot_integral", lambda *key: {0: 1, 2: 1})
-    with pytest.raises(InvariantError):
-        whit._slot_factor.__wrapped__(True, "O", "", 0)
 
 
 # doubles every diagonal term in the column m1 = K + 3 (K = 5 for diag:0,-1)
