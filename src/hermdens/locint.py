@@ -24,9 +24,11 @@ brute-force density oracles in cdens and whit are thin callers of it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from math import isqrt
+from operator import mod, mul
 
 from .errors import BudgetError, InvariantError
 from .symb import SR_ZERO, SignedRational, _expand
@@ -101,8 +103,16 @@ def trace_integral_J1(e: int) -> SignedRational:
 # character sum oracle
 
 
+# largest p that _check_prime tries to factor: at most about 23k trial divisions
+PRIME_MAX = 2 ** 31
+
+
 def _check_prime(p: int):
-    if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, int(p ** 0.5) + 1, 2)):
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if p > PRIME_MAX:
+        raise BudgetError(f"primality check limited to p <= {PRIME_MAX}, got {p}")
+    if any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
@@ -156,13 +166,18 @@ def _region_coord_depth(kind: str):
     return [(0, 1), (1, -1)]
 
 
+# residue points of O_E / p^m one charsum_oracle call may range over
+ORACLE_MAX_POINTS = 10 ** 7
+
+
 def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
     """Recompute a table integral by explicit character sums.
 
     regions: one region for kind='norm', a pair for kind='trace_pair'.
     depth bounds the residue precision the caller vouches for; the
     enumeration itself runs at the exact modulus max(1, -e), which the
-    integrand depends on.
+    integrand depends on.  Raises BudgetError before any work when O_E / p^m
+    has more than ORACLE_MAX_POINTS points.
     """
     _check_prime(p)
     e = int(e)
@@ -170,6 +185,10 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
         raise ValueError(f"depth {depth} too small: need at least |e|+2 = {abs(e) + 2}")
     mp = max(0, -e)
     m = max(1, mp)
+    # capping m keeps the power small: p^128 is over the limit for every p
+    if p ** (2 * min(m, 64)) > ORACLE_MAX_POINTS:
+        raise BudgetError(f"character sum oracle limited to {ORACLE_MAX_POINTS} "
+                          f"residue points, got {p}^{2 * m}")
     c = _nonresidue(p)
     pm = p ** m
     pmp = p ** mp
@@ -260,7 +279,8 @@ def _trace_brute(p: int, k1: str, k2: str, e: int) -> Fraction:
 # solution counting over O_E / p^d
 
 
-# pair checks one count_solutions call may make (len(first) * len(second))
+# vector pairs one count_solutions pair stage may stand for: the product of
+# the two roles' vector counts, however few distinct key pairs it checks
 PAIR_BUDGET = 5_000_000
 
 
@@ -280,8 +300,14 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     O_E = Z_p[w] with w^2 a nonresidue.  A is the hermitian monomial form
     with p^exps[j] in row sigma[j], column j (rows counted from 0), target a
     hermitian matrix of rational integers, and coordinate j of v_i ranges
-    over regions[i][j], one of "O", "O_unit", "piO".  The pair stage raises
-    BudgetError before it runs when it would exceed PAIR_BUDGET checks.
+    over regions[i][j], one of "O", "O_unit", "piO".
+
+    The pair stage reads a first vector only through the coefficients
+    (re, im) mod p^d of u -> v A u^*, and a second vector only through
+    coordinate j mod p^(d - min(exps[j], d)), the factor that p^exps[j]
+    does not kill.  Each role is kept as a Counter of those keys and the
+    stage runs over distinct key pairs.  It raises BudgetError before it
+    runs when the vector pairs would exceed PAIR_BUDGET.
     """
     k = len(regions)
     if k not in (1, 2):
@@ -289,12 +315,15 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     P = p ** d
     c = _nonresidue(p)
     a = [pow(p, e, P) for e in exps]
-    kept = {}
-    # each distinct region tuple is enumerated once; a vector is kept, with
-    # the coefficients of u -> v A u^* (real and w parts), only when its own
-    # value is one of the wanted diagonal targets
+    mods = [P // p ** min(e, d) for e in exps for _ in "xy"]
+    roles = [Counter() for _ in range(k)]
+    # each distinct region tuple is enumerated once; a vector counts for
+    # role i only when its own value is target[i][i]
     for reg in dict.fromkeys(tuple(r) for r in regions):
-        wanted = {target[i][i] % P: [] for i in range(k) if tuple(regions[i]) == reg}
+        wanted = {}
+        for i in range(k):
+            if tuple(regions[i]) == reg:
+                wanted.setdefault(target[i][i] % P, []).append(i)
         for v in product(*(_residues(kind, p, P) for kind in reg)):
             re, im = [], []
             for a_j, s in zip(a, sigma):
@@ -302,17 +331,19 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
                 re += (wx, -c * wy)
                 im += (wy, -wx)
             flat = sum(v, ())
-            bucket = wanted.get(sum(map(mul, re, flat)) % P)
-            if bucket is not None and sum(map(mul, im, flat)) % P == 0:
-                bucket.append((re, im, flat))
-        kept[reg] = wanted
-    found = [kept[tuple(r)][target[i][i] % P] for i, r in enumerate(regions)]
+            hits = wanted.get(sum(map(mul, re, flat)) % P)
+            if hits and sum(map(mul, im, flat)) % P == 0:
+                for i in hits:
+                    if i:
+                        roles[i][tuple(map(mod, flat, mods))] += 1
+                    else:
+                        roles[i][tuple(x % P for x in re), tuple(x % P for x in im)] += 1
     if k == 1:
-        return len(found[0])
-    first, second = found
-    if len(first) * len(second) > PAIR_BUDGET:
-        raise BudgetError(f"pair counting budget exceeded: "
-                          f"{len(first) * len(second)} > {PAIR_BUDGET} checks")
+        return roles[0].total()
+    first, second = roles
+    pairs = first.total() * second.total()
+    if pairs > PAIR_BUDGET:
+        raise BudgetError(f"pair counting budget exceeded: {pairs} > {PAIR_BUDGET} checks")
     t = target[0][1] % P
-    return sum(1 for re, im, _ in first for _, _, flat in second
-               if sum(map(mul, re, flat)) % P == t and sum(map(mul, im, flat)) % P == 0)
+    return sum(mu * mv for (re, im), mu in first.items() for u, mv in second.items()
+               if sum(map(mul, re, u)) % P == t and sum(map(mul, im, u)) % P == 0)

@@ -524,8 +524,14 @@ def resolve_suite(name: str) -> str:
     raise ValueError(f"unknown suite {name!r}; try one of {', '.join(suite_names())}")
 
 
+# largest q a suite runs at: the integrals oracle grows as q^4, and q = 53 takes about 8 s
+VERIFY_MAX_Q = 53
+
+
 def run_suite(name: str, q: int = 3) -> dict:
     canonical = resolve_suite(name)
+    if q > VERIFY_MAX_Q:
+        raise BudgetError(f"verify limited to q <= {VERIFY_MAX_Q}, got {q}")
     _check_prime(q)
     rec = Recorder()
     t0 = time.perf_counter()

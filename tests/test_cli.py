@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hermdens import verify
 from hermdens.cli import main
 from hermdens.errors import BudgetError, InvariantError
+from hermdens.locint import ORACLE_MAX_POINTS
 
 
 @pytest.fixture
@@ -43,6 +44,13 @@ class TestIntegral:
         b = invoke(runner, args)
         assert a.stdout == b.stdout
         assert a.stdout.count("\n") == 1
+
+    def test_oracle_budget_exit_code(self, runner):
+        # 1000003^2 residue points: over ORACLE_MAX_POINTS, rejected before any sum
+        res = invoke(runner, ["integral", "--kind", "norm", "--region", "O", "--e", "-1",
+                              "--oracle", "--p", "1000003"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
 
 
 class TestWdens:
@@ -144,6 +152,13 @@ class TestAlpha:
         assert res.exit_code == 3
         assert res.stdout == ""
 
+    def test_prime_check_budget_exit_code(self, runner):
+        # a p over locint.PRIME_MAX is rejected before any trial division
+        res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "0,0", "--brute",
+                              "--q", "1000000000000000003", "--d", "1"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+
     def test_brute_rejects_non_prime(self, runner):
         res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "1,0",
                               "--brute", "--q", "4", "--d", "1"])
@@ -228,6 +243,19 @@ class TestVerifyCommand:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert ran == []
+
+    @pytest.mark.parametrize("q", ["59", "1000000000000000003"])
+    def test_q_over_limit(self, runner, q, monkeypatch):
+        ran = []
+        monkeypatch.setitem(verify.SUITES, "jfun-h0", lambda rec, q: ran.append(q))
+        res = invoke(runner, ["verify", "--suite", "jfun-h0", "--q", q])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert ran == []
+
+    def test_max_q_within_oracle_budget(self):
+        # above q = 5 the integrals suite reaches e = -2, that is q^4 residue points
+        assert verify.VERIFY_MAX_Q ** 4 <= ORACLE_MAX_POINTS
 
     def test_failing_suite_exits_one(self, runner, monkeypatch):
         def failing(rec, q):

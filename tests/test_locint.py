@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -8,6 +8,7 @@ from hermdens.locint import (
     _collapse,
     _trace_brute,
     charsum_oracle,
+    count_solutions,
     norm_integral,
     trace_integral_J1,
     trace_pair_integral,
@@ -123,3 +124,51 @@ def test_collapse_rejects_orbit_variant_fibers():
     # v = 1 and v = 2 are Galois conjugate mod 3 but carry different counts
     with pytest.raises(InvariantError, match="Galois"):
         _collapse({1: 1}, 3, 1)
+
+
+def _literal_count(sigma, exps, target, regions, p, d):
+    """count_solutions by its definition, with O_E / p^d arithmetic of its own."""
+    P = p ** d
+    c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)  # w^2 = c
+
+    def elements(kind):
+        points = [(x, y) for x in range(P) for y in range(P)]
+        if kind == "O_unit":
+            return [(x, y) for x, y in points if x % p or y % p]
+        if kind == "piO":
+            return [(x, y) for x, y in points if x % p == 0 and y % p == 0]
+        return points
+
+    def form(v, u):
+        # v A u^* = sum_j v[sigma j] p^exps[j] conj(u[j]), as (real, w) parts
+        re = im = 0
+        for j, s in enumerate(sigma):
+            (x1, y1), (x2, y2) = v[s], u[j]
+            re += p ** exps[j] * (x1 * x2 - c * y1 * y2)
+            im += p ** exps[j] * (y1 * x2 - x1 * y2)
+        return re % P, im % P
+
+    kept = [[v for v in product(*map(elements, reg)) if form(v, v) == (target[i][i] % P, 0)]
+            for i, reg in enumerate(regions)]
+    if len(regions) == 1:
+        return len(kept[0])
+    return sum(form(v, u) == (target[0][1] % P, 0) for v in kept[0] for u in kept[1])
+
+
+def test_count_solutions_matches_literal_count():
+    # sigma identity and swap; exps with e = 0, 0 < e < d and e >= d; every region kind
+    cases = [
+        ((0, 1), (1, 0), [[3, 0], [0, 1]], [("O", "O")] * 2, 3, 2),
+        ((1, 0), (0, 1), [[1, 2], [2, 3]], [("O", "O_unit"), ("O_unit", "piO")], 3, 2),
+        ((0, 1), (0, 3), [[1, 3], [3, 0]], [("O_unit", "piO"), ("piO", "piO")], 3, 2),
+        ((1, 0), (2, 0), [[2, 0], [0, 0]], [("O", "O_unit"), ("O", "O")], 3, 2),
+        ((1, 0), (1, 2), [[0, 3], [3, 3]], [("O_unit", "O_unit"), ("O_unit", "O")], 3, 1),
+        ((0, 1), (0, 0), [[0, 2], [2, 3]], [("O_unit", "O"), ("O_unit", "O")], 5, 1),
+        ((1, 0), (0, 2), [[0, 0], [0, 0]], [("O", "piO"), ("O_unit", "O")], 5, 1),
+        ((0, 1), (0, 1), [[1]], [("O", "O_unit")], 3, 2),
+        ((1, 0), (0, 2), [[0]], [("piO", "O")], 3, 2),
+        ((1, 0), (1, 0), [[2]], [("O", "O")], 3, 1),
+        ((0, 1), (0, 0), [[1]], [("O_unit", "O_unit")], 5, 1),
+    ]
+    for case in cases:
+        assert count_solutions(*case) == _literal_count(*case), case
