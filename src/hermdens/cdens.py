@@ -64,6 +64,20 @@ def _subpartitions(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, bound[0] if n else 0, [])
 
 
+def _count_subpartitions(bound: Sequence[int]) -> int:
+    """Number of partitions _subpartitions(bound) yields, without listing them."""
+    # ways[v]: decreasing prefixes ending in the part v
+    ways = [1] * (bound[0] + 1)
+    for b in bound[1:]:
+        acc, nxt = 0, [0] * (b + 1)
+        for v in range(len(ways) - 1, -1, -1):
+            acc += ways[v]
+            if v <= b:
+                nxt[v] = acc
+        ways = nxt
+    return sum(ways)
+
+
 @lru_cache(maxsize=None)
 def gauss_bracket(u: int, v: int) -> SignedRational:
     """Product-form binomial built from (1 - s^-i) factors; zero outside 0<=v<=u."""
@@ -80,21 +94,26 @@ def gauss_bracket(u: int, v: int) -> SignedRational:
     return SignedRational(num, den)
 
 
-def _transition_factor(j: int, mu_c: Sequence[int], lt_c: Sequence[int]) -> SignedRational:
-    top = _part_at(lt_c, j)
-    nxt = _part_at(lt_c, j + 1)
-    mj = _part_at(mu_c, j)
-    mj1 = _part_at(mu_c, j + 1)
+@lru_cache(maxsize=None)
+def _transition_factor(top: int, nxt: int, mj: int, mj1: int) -> SignedRational:
+    """Factor of column j: top, nxt are parts j, j+1 of lt_c, and mj, mj1 those of mu_c."""
     total = SR_ZERO
     for i in range(mj1, min(nxt, mj) + 1):
         twice = i * (2 * nxt + 1 - i)
         if twice % 2:
-            raise InvariantError(f"odd exponent {twice}/2 at j={j}, i={i}, next part {nxt}")
+            raise InvariantError(f"odd exponent {twice}/2 at i={i}, next part {nxt}")
         term = SignedRational(npq(twice // 2))
         term = term * gauss_bracket(nxt - mj1, nxt - i)
         term = term * gauss_bracket(top - i, top - mj)
         total = total + term
     return total
+
+
+# the gauss brackets of a transition factor have degree up to about
+# len(lam)^2 / 4, and the expansion multiplies one factor per subpartition
+# of lam + 1 and column (lam[0] + 1 of them); both are checked before any work
+HIRONAKA_MAX_PARTS = 12
+HIRONAKA_MAX_TERMS = 20_000
 
 
 def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedRational]:
@@ -111,8 +130,15 @@ def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedRationa
     if n == 0 or m == 0:
         raise ValueError("both forms must be nonempty")
     lt = tuple(x + 1 for x in lam_t)
+    if n > HIRONAKA_MAX_PARTS:
+        raise BudgetError(f"partition sum limited to {HIRONAKA_MAX_PARTS} target exponents, got {n}")
+    # (v, 0, ..., 0) is a subpartition for every v <= lt[0], so a first part
+    # over the square root of the limit fails without counting
+    if lt[0] ** 2 > HIRONAKA_MAX_TERMS or _count_subpartitions(lt) * lt[0] > HIRONAKA_MAX_TERMS:
+        raise BudgetError(f"partition sum limited to {HIRONAKA_MAX_TERMS} subpartition-column terms")
     lt_c = conjugate_partition(lt)
-    xi_c = conjugate_partition(xi_t)
+    # only the first lt[0] parts of xi_c meet a mu_c, so larger xi parts are cut there
+    xi_c = conjugate_partition(tuple(min(x, lt[0]) for x in xi_t))
     coeffs = [SR_ZERO] * (sum(lt) + 1)
     for mu in _subpartitions(lt):
         k = sum(mu)
@@ -124,7 +150,8 @@ def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedRationa
             base = base * SignedRational(-1)
         prod = base
         for j in range(1, lam_t[0] + 2):
-            prod = prod * _transition_factor(j, mu_c, lt_c)
+            prod = prod * _transition_factor(_part_at(lt_c, j), _part_at(lt_c, j + 1),
+                                             _part_at(mu_c, j), _part_at(mu_c, j + 1))
             if prod == SR_ZERO:
                 break
         coeffs[k] = coeffs[k] + prod
@@ -261,6 +288,11 @@ def thm42_display(a: int, b: int) -> dict:
 # compatibility layer: density products against the classical polynomials
 
 
+# appendix --n; its correction constant also needs n <= beta.SOLVE_MAX_N, and
+# its partition sums stay within the hironaka_coeffs limits
+APPENDIX_MAX_N = 8
+
+
 def appendix_compat(n: int, b1_exps: Sequence[int]) -> dict:
     """Cross-check the bottom-rank derivative identity on split forms.
 
@@ -270,6 +302,8 @@ def appendix_compat(n: int, b1_exps: Sequence[int]) -> dict:
     """
     from .beta import solve_constants
 
+    if n > APPENDIX_MAX_N:
+        raise BudgetError(f"appendix identity limited to n <= {APPENDIX_MAX_N}, got n={n}")
     b1 = _check_partition(tuple(sorted(b1_exps, reverse=True)), "b1")
     if len(b1) != n + 1:
         raise ValueError(f"top block must have size n+1 = {n + 1}")

@@ -312,6 +312,8 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     k = len(regions)
     if k not in (1, 2):
         raise ValueError(f"count_solutions takes 1 or 2 vectors, got {k}")
+    if d < 1:
+        raise ValueError(f"counting depth must be at least 1, got d={d}")
     P = p ** d
     c = _nonresidue(p)
     a = [pow(p, e, P) for e in exps]

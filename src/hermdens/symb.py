@@ -5,7 +5,15 @@ prime power q means substituting s = -q.  Keeping the sign inside the
 indeterminate makes parity bookkeeping automatic: a quantity written (-q)^k
 on paper is stored as the monomial s^k, and q^k is (-1)^k s^k.
 
-Coefficients are fractions.Fraction throughout.  No floating point.
+Coefficients are exact rationals.  An integral coefficient is stored as a
+Python int, and a fractions.Fraction only when its denominator is above 1:
+most values here have integer coefficients, and int arithmetic is several
+times cheaper.  SignedLaurent.__init__ normalizes its input to that form,
+and every division goes through _div, which returns an int when the
+quotient is exact and a Fraction otherwise, so no float can appear.  Ring
+operations skip __init__ and may carry a Fraction(k, 1); int and Fraction
+compare, hash and print alike, so equality, hashing and to_json do not
+see the difference.
 
 Canonical form of a SignedRational: numerator and denominator share no
 polynomial factor (full Euclidean gcd, not just monomial gcd), the
@@ -24,16 +32,19 @@ from functools import lru_cache
 
 
 class SignedLaurent:
-    """Laurent polynomial in s: maps exponent -> nonzero Fraction."""
+    """Laurent polynomial in s: maps exponent -> nonzero int or Fraction."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean: dict[int, Fraction] = {}
+        clean = {}
         if coeffs:
             for exp, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
+                if c.__class__ is not int:
+                    c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
+                if c:
                     clean[int(exp)] = c
         self.coeffs = clean
 
@@ -41,7 +52,7 @@ class SignedLaurent:
 
     @classmethod
     def monomial(cls, exp: int = 0, coeff=1) -> "SignedLaurent":
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: coeff})
 
     @classmethod
     def zero(cls) -> "SignedLaurent":
@@ -74,10 +85,7 @@ class SignedLaurent:
         return SignedLaurent({e + k: c for e, c in self.coeffs.items()})
 
     def scaled(self, c) -> "SignedLaurent":
-        c = Fraction(c)
-        if c == 0:
-            return SignedLaurent()
-        return SignedLaurent({e: v * c for e, v in self.coeffs.items()})
+        return self * SignedLaurent({0: c})
 
     # -- ring operations ----------------------------------------------
 
@@ -87,7 +95,7 @@ class SignedLaurent:
             return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            v = out.get(e, _F0) + c
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
@@ -132,11 +140,11 @@ class SignedLaurent:
             r = SignedLaurent.__new__(SignedLaurent)
             r.coeffs = {e + eb: c * cb for e, c in a.items()}
             return r
-        out: dict[int, Fraction] = {}
+        out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = ea + eb
-                v = out.get(e, _F0) + ca * cb
+                v = out.get(e, 0) + ca * cb
                 if v:
                     out[e] = v
                 else:
@@ -154,7 +162,7 @@ class SignedLaurent:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
             (e, c), = self.coeffs.items()
-            return SignedLaurent({e * n: c ** n})
+            return SignedLaurent({e * n: Fraction(c) ** n})
         result = SignedLaurent.one()
         base = self
         k = n
@@ -219,6 +227,15 @@ class SignedLaurent:
 _F0 = Fraction(0)
 
 
+def _div(a, b):
+    """Exact quotient of two int/Fraction coefficients: an int when it is integral."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
 def _as_sl(x):
     if isinstance(x, SignedLaurent):
         return x
@@ -247,11 +264,11 @@ def _pmod(a: dict, b: dict) -> dict:
     db, lb = _pdeg(b), b[_pdeg(b)]
     while a and _pdeg(a) >= db:
         da, la = _pdeg(a), a[_pdeg(a)]
-        f = la / lb
+        f = _div(la, lb)
         shift = da - db
         for e, c in b.items():
             e2 = e + shift
-            v = a.get(e2, _F0) - f * c
+            v = a.get(e2, 0) - f * c
             if v:
                 a[e2] = v
             else:
@@ -261,18 +278,18 @@ def _pmod(a: dict, b: dict) -> dict:
 def _pdivexact(a: dict, b: dict) -> dict:
     # exact quotient a / b; raises if not divisible
     a = dict(a)
-    out: dict[int, Fraction] = {}
+    out = {}
     db, lb = _pdeg(b), b[_pdeg(b)]
     while a:
         da = _pdeg(a)
         if da < db:
             raise ArithmeticError("inexact polynomial division")
-        f = a[da] / lb
+        f = _div(a[da], lb)
         shift = da - db
         out[shift] = f
         for e, c in b.items():
             e2 = e + shift
-            v = a.get(e2, _F0) - f * c
+            v = a.get(e2, 0) - f * c
             if v:
                 a[e2] = v
             else:
@@ -293,7 +310,7 @@ def _pgcd(a: dict, b: dict) -> dict:
         r = _pmod(a, b)
         a, b = b, (_strip(r) if r else {})
     lo = a[min(a)]
-    return {e: c / lo for e, c in a.items()}
+    return {e: _div(c, lo) for e, c in a.items()}
 
 
 class SignedRational:
@@ -323,8 +340,8 @@ class SignedRational:
             q = pn
         c0 = pd[0]
         shift = sn - sd
-        self.num = SignedLaurent({e + shift: c / c0 for e, c in q.items()})
-        self.den = SignedLaurent({e: c / c0 for e, c in pd.items()})
+        self.num = SignedLaurent({e + shift: _div(c, c0) for e, c in q.items()})
+        self.den = SignedLaurent({e: _div(c, c0) for e, c in pd.items()})
 
     # -- helpers --------------------------------------------------------
 
@@ -511,10 +528,7 @@ def npq(k: int, coeff=1) -> SignedLaurent:
 
 def qpow(k: int, coeff=1) -> SignedLaurent:
     """q^k = (-1)^k s^k, optionally scaled."""
-    c = Fraction(coeff)
-    if k % 2:
-        c = -c
-    return SignedLaurent.monomial(k, c)
+    return SignedLaurent.monomial(k, -coeff if k % 2 else coeff)
 
 
 SL_ONE = SignedLaurent.one()

@@ -351,6 +351,9 @@ def _close(box: list, tails: dict) -> SignedRational:
 
 # the summed box has (2K + 1)^2 terms with K = max|e| + kink_pad
 DENSITY_MAX_EXP = 300
+# numeric partial sums carry q-adic numerators, so their cost grows with q;
+# this admits every prime that verify (q <= 53) evaluates at
+NUMERIC_MAX_Q = 53
 
 
 def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
@@ -460,6 +463,9 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     top = max(abs(l) for l in B.e)
     if max(e_window, top) > DENSITY_MAX_EXP:
         raise BudgetError(f"numeric density limited to window, max|e| <= {DENSITY_MAX_EXP}")
+    if q > NUMERIC_MAX_Q:
+        raise BudgetError(f"numeric density limited to q <= {NUMERIC_MAX_Q}, got {q}")
+    _check_prime(q)
     K = top + 4
 
     @lru_cache(maxsize=None)

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hermdens.cdens import (
+    _count_subpartitions,
+    _subpartitions,
     alpha_brute,
     alpha_diag_unimodular,
     alpha_prime,
@@ -76,6 +78,25 @@ class TestPolynomial:
                 for tgt in targets:
                     got = alpha_value(hironaka_coeffs(xi, (0,) * tgt))
                     assert got == prop_a5_value(n, tgt), (n, r, tgt)
+
+    def test_subpartition_count(self):
+        for bound in [(0,), (3,), (4, 2), (5, 5, 1), (3, 3, 3, 2, 1), (7, 4, 4, 2, 2, 1, 1)]:
+            assert _count_subpartitions(bound) == sum(1 for _ in _subpartitions(bound)), bound
+
+    def test_partition_sum_budget(self):
+        # 12 parts pass, and so do 141 subpartitions x 140 columns = 19,740 terms
+        assert len(hironaka_coeffs((0,), (0,) * 12)) == 13
+        assert len(hironaka_coeffs((0,), (139,))) == 141
+        with pytest.raises(BudgetError):
+            hironaka_coeffs((0,), (0,) * 13)
+        with pytest.raises(BudgetError):
+            hironaka_coeffs((0,), (140,))  # 142 subpartitions x 141 columns
+        with pytest.raises(BudgetError):
+            hironaka_coeffs((0,), (10 ** 12,))  # rejected before the count
+
+    def test_large_xi_parts_cut_at_lam(self):
+        # parts of xi above lam[0] + 1 meet no subpartition column
+        assert hironaka_coeffs((10 ** 12, 3), (2, 1)) == hironaka_coeffs((3, 3), (2, 1))
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
@@ -249,6 +270,16 @@ class TestLatticeCounts:
     @pytest.mark.parametrize("d", [1, 2])
     def test_factorization(self, a, d):
         assert factorization_check(a, 3, d)["match"]
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_depth_below_one_rejected(self, d):
+        # count_solutions rejects the depth, so every oracle on it does too
+        with pytest.raises(ValueError, match="depth"):
+            alpha_brute((1, 0), (0, 0), 3, d)
+        with pytest.raises(ValueError, match="depth"):
+            jcount_oracle((1, 0), (1, 0), 3, d, "J")
+        with pytest.raises(ValueError, match="depth"):
+            alpha_iwahori_brute(make_monomial((2, 1), (1, 1)), 3, d)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,21 @@ class TestWdens:
         assert res.exit_code == 3
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("q", ["4", "-3", "1", "9"])
+    def test_numeric_q_not_odd_prime(self, runner, q):
+        res = invoke(runner, ["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
+                              "--q", q, "--emin", "-2", "--emax", "2"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("q", ["59", "1000000000000000003"])
+    def test_numeric_q_over_limit(self, runner, q):
+        # whit.NUMERIC_MAX_Q is checked before the prime check and any sum
+        res = invoke(runner, ["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
+                              "--q", q, "--emin", "-2", "--emax", "2"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+
 
 class TestBeta:
     def test_closed_top_constant(self, runner):
@@ -165,6 +180,22 @@ class TestAlpha:
         assert res.exit_code == 2
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("xi,lam", [("0,0,0,0,0,0,0,0", "8,8,8,8,8,8,8,8"),
+                                        ("1,1,1,1,1,1", "30,30,30"),
+                                        ("0", "0,0,0,0,0,0,0,0,0,0,0,0,0")])
+    def test_partition_sum_budget_exit_code(self, runner, xi, lam):
+        # cdens.HIRONAKA_MAX_TERMS / HIRONAKA_MAX_PARTS, checked before any expansion
+        res = invoke(runner, ["alpha", "--xi", xi, "--lam", lam, "--prime"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_brute_rejects_depth_below_one(self, runner, d):
+        res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "0,0",
+                              "--brute", "--q", "3", "--d", d])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
 
 class TestJfunAndAppendix:
     def test_assembled_constant(self, runner):
@@ -176,6 +207,14 @@ class TestJfunAndAppendix:
         doc = out_json(res)
         assert doc["match"] is True
         assert doc["lhs"] == doc["rhs"]
+
+    @pytest.mark.parametrize("n,b1", [("12", "3,3,3,3,3,3,3,3,3,3,3,3,3"),
+                                      ("8", "6,6,6,6,6,6,6,6,6")])
+    def test_appendix_budget_exit_code(self, runner, n, b1):
+        # cdens.APPENDIX_MAX_N, then the partition sum budget of its densities
+        res = invoke(runner, ["appendix", "--n", n, "--B1", b1])
+        assert res.exit_code == 3
+        assert res.stdout == ""
 
 
 class TestTree:

@@ -191,3 +191,72 @@ def test_canonical_form_matches_sympy():
     for i in range(len(values) - 1):
         (x, ex), (y, ey) = values[i], values[i + 1]
         assert (x == y) == (sp.cancel(ex - ey) == 0), (x, y)
+
+
+def _fraction_coeffs(p):
+    """The same polynomial with every coefficient a Fraction, set past __init__."""
+    r = SignedLaurent.__new__(SignedLaurent)
+    r.coeffs = {e: Fraction(c) for e, c in p.coeffs.items()}
+    return r
+
+
+def _fraction_rational(x):
+    r = SignedRational.__new__(SignedRational)
+    r.num, r.den = _fraction_coeffs(x.num), _fraction_coeffs(x.den)
+    return r
+
+
+def _coeff_types(x):
+    parts = (x.num, x.den) if isinstance(x, SignedRational) else (x,)
+    return {type(c) for p in parts for c in p.coeffs.values()}
+
+
+def _normalized(x):
+    # canonical values keep an integral coefficient as int
+    parts = (x.num, x.den) if isinstance(x, SignedRational) else (x,)
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for p in parts for c in p.coeffs.values())
+
+
+def test_init_normalizes_coefficients():
+    p = SignedLaurent({0: Fraction(4, 2), 1: Fraction(1, 3), 2: "5", 3: Fraction(0)})
+    assert p.coeffs == {0: 2, 1: Fraction(1, 3), 2: 5}
+    assert _normalized(p)
+    assert (SignedLaurent.monomial(2, 3) ** -2).coeffs == {-4: Fraction(1, 9)}
+    assert SignedRational(SignedLaurent({0: 6, 1: 4}), SignedLaurent({0: 2})).num.coeffs == {0: 3, 1: 2}
+    assert SignedLaurent({0: 2}).evaluate(3) == 2 and type(SignedLaurent().evaluate(3)) is Fraction
+
+
+# mostly integral coefficients, so both the int and the Fraction paths run
+small_coeffs = st.one_of(st.integers(min_value=-4, max_value=4),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=3))
+small_laurents = st.dictionaries(st.integers(min_value=-3, max_value=3), small_coeffs,
+                                 max_size=3).map(SignedLaurent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_laurents, small_laurents, small_laurents, st.integers(min_value=0, max_value=2))
+def test_int_and_fraction_coefficients_agree(a, b, c, k):
+    """Int-normalized values and all-Fraction values give the same results."""
+    fa, fb, fc = map(_fraction_coeffs, (a, b, c))
+    pairs = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (a ** k, fa ** k),
+             (a * b - c, fa * fb - fc), (-a + 3, -fa + 3)]
+    if a.is_monomial():
+        pairs.append((a ** -k, fa ** -k))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert x.to_json() == y.to_json() and repr(x) == repr(y)
+        assert float not in _coeff_types(x) | _coeff_types(y)
+    if b.is_zero() or c.is_zero() or (b * c + a).is_zero():
+        return
+    x, y = SignedRational(a, b), SignedRational(fa, fb)
+    z = SignedRational(c, b * c + a)
+    rationals = [(x, y), (z, SignedRational(fc, fb * fc + fa))]
+    fx, fz = _fraction_rational(x), _fraction_rational(z)
+    rationals += [(x + z, fx + fz), (x - z, fx - fz), (x * z, fx * fz), (x ** k, fx ** k)]
+    if not z.is_zero():
+        rationals += [(x / z, fx / fz), (z ** -k, fz ** -k)]
+    for x, y in rationals:
+        assert x == y and hash(x) == hash(y)
+        assert x.to_json() == y.to_json() and repr(x) == repr(y)
+        assert _normalized(x) and _normalized(y)
