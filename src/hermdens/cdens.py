@@ -229,25 +229,32 @@ def _check_san_pair(a: int, b: int) -> None:
 # brute counting over O_E / pi^d with O_E = Z_p[w], w^2 a nonresidue
 
 
-def alpha_brute(ambient: Sequence[int], target: Sequence[int], p: int, d: int) -> Fraction:
+def alpha_brute(ambient: Sequence[int], target: Sequence[int], p: int, d: int,
+                pad: int = 0) -> Fraction:
     """Direct solution count for diagonal forms, feasible for k <= 2 columns.
 
-    The count only stabilizes to the true density once d exceeds every
-    target exponent; callers pick d accordingly.
+    The ambient form is padded with pad unimodular slots.  The count only
+    stabilizes to the true density once d exceeds every target exponent;
+    callers pick d accordingly.
     """
     a_exps = tuple(int(x) for x in ambient)
     b_exps = tuple(int(x) for x in target)
     if min(a_exps + b_exps) < 0:
         raise ValueError("brute counting needs nonnegative exponents")
-    m, k = len(a_exps), len(b_exps)
+    if pad < 0:
+        raise ValueError("padding must be nonnegative")
+    m, k = len(a_exps) + pad, len(b_exps)
     if k > 2:
         raise ValueError("brute counting supports at most 2 target columns")
     _check_prime(p)
-    if p > 5 or d > 3 or p ** (2 * d * m) > 6 * 10 ** 5:
+    # p >= 3, so 2 d m > 12 is over the budget already: a long padded form
+    # is refused before its power or its exponent tuple is built
+    if p > 5 or d > 3 or d * m > 6 or p ** (2 * d * m) > 6 * 10 ** 5:
         raise BudgetError("brute counting budget exceeded")
     if k == 2 and p ** (2 * d * m) > 10 ** 4:
         raise BudgetError("pair counting budget exceeded")
     gram = [[pow(p, b) if i == j else 0 for j, b in enumerate(b_exps)] for i in range(k)]
+    a_exps += (0,) * pad
     count = count_solutions(range(m), a_exps, gram, [("O",) * m] * k, p, d)
     return Fraction(count, p ** (d * k * (2 * m - k)))
 

@@ -300,7 +300,7 @@ def alpha(ctx, xi, lam, with_prime, pad, brute, q, d):
             out["prime"] = alpha_prime(coeffs)
         _attach_decimal(ctx, out, 3)
         if brute:
-            counted = alpha_brute(xi_t + (0,) * pad, lam_t, q, d)
+            counted = alpha_brute(xi_t, lam_t, q, d, pad=pad)
             out["brute"] = {"p": q, "d": d, "value": counted,
                             "matches": counted == value.evaluate(q)}
         return out

@@ -11,6 +11,8 @@ Everything stays exact.  Each of the three factors, and so each term, has
 the form c s^N (s-1)^A (s+1)^B and is carried as the tuple (c, N, A, B) with c
 a nonzero rational (an int for slot and gram values); the form is unique, so
 tuple equality is value equality.
+The gram and profile factors read per-involution plans (_gram_plan,
+_profile_plan), so a term costs one walk over each plan with the exponents.
 The finite kink region is summed over one common denominator and
 canonicalized once; the tails beyond it are geometric, which the code checks
 as exponent differences before summing them in closed form.
@@ -28,7 +30,7 @@ from math import lcm
 
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_solutions, norm_term, trace_pair_term
-from .reps import MonomialHermitian, WeightProfile, classify, diagonal, make_monomial
+from .reps import MonomialHermitian, WeightProfile, classify
 from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, _expand, _pm_coeffs, _pm_poly, npq
 
 
@@ -153,32 +155,34 @@ def gram_fingerprint(Y: MonomialHermitian, B: MonomialHermitian) -> tuple:
 # profile exponents
 
 
+@lru_cache(maxsize=None)
+def _profile_plan(sigma: tuple, h: int) -> tuple:
+    """The orbits a profile reads, one (j, mult, shift, t_const) per orbit.
+
+    The orbit of index j + 1 (0-based j) adds mult * min(0, e) to the M
+    coefficient and mult * min(0, e + shift) to the T coefficient, with
+    e = Y.e[j].  The index classes depend only on sigma and the cut size - h,
+    so pairs sharing the involution and h share the plan.
+    """
+    size = len(sigma)
+    cls = classify(MonomialHermitian(size, sigma, (0,) * size), h)
+    plan = [(j - 1, 1, 1, -2) for j in sorted(cls.a1)]
+    plan += [(j - 1, 2, 1, -4) for j in sorted(cls.a2) if sigma[j - 1] > j]
+    plan += [(j - 1, 2, 0, -2) for j in sorted(cls.b1)]
+    plan += [(j - 1, 1, -1, 0) for j in sorted(cls.c1)]
+    plan += [(j - 1, 2, -1, 0) for j in sorted(cls.c2) if sigma[j - 1] > j]
+    return tuple(plan)
+
+
 def _profile_items(Y: MonomialHermitian, h: int):
     """Per-orbit exponent contributions (m_coef, t_coef, t_const).
 
     The full profile exponent is sum(M*m_coef + T*t_coef + T*t_const) with
     M = 2n - t + 2r and T = t.
     """
-    cls = classify(Y, h)
-    items = []
-    for j in sorted(cls.a1):
-        e = Y.e_of(j)
-        items.append((_min0(e), _min0(e + 1), -2))
-    for j in sorted(cls.a2):
-        if Y.sigma_of(j) > j:
-            e = Y.e_of(j)
-            items.append((2 * _min0(e), 2 * _min0(e + 1), -4))
-    for j in sorted(cls.b1):
-        e = Y.e_of(j)
-        items.append((2 * _min0(e), 2 * _min0(e), -2))
-    for j in sorted(cls.c1):
-        e = Y.e_of(j)
-        items.append((_min0(e), _min0(e - 1), 0))
-    for j in sorted(cls.c2):
-        if Y.sigma_of(j) > j:
-            e = Y.e_of(j)
-            items.append((2 * _min0(e), 2 * _min0(e - 1), 0))
-    return items
+    e = Y.e
+    return [(mult * _min0(e[j]), mult * _min0(e[j] + shift), t_const)
+            for j, mult, shift, t_const in _profile_plan(Y.sigma, h)]
 
 
 def slope_of(Y: MonomialHermitian) -> int:
@@ -293,10 +297,6 @@ def alpha_iwahori_brute(Y: MonomialHermitian, p: int, d: int) -> Fraction:
 # the weighted density, n = 1
 
 
-def _antidiag(e: int) -> MonomialHermitian:
-    return make_monomial((2, 1), (e, e))
-
-
 def _density_term(Y: MonomialHermitian, B: MonomialHermitian, prof: WeightProfile):
     """gram_g(Y, B) * profile / alpha_iwahori_n1(Y) factored, None when zero."""
     g = _gram_factor(Y, B)
@@ -356,6 +356,7 @@ DENSITY_MAX_EXP = 300
 NUMERIC_MAX_Q = 53
 
 
+@lru_cache(maxsize=None)
 def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
                  kink_pad: int = 4):
     """Exact value and prime of the weighted density over all 2x2 forms.
@@ -364,6 +365,10 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
     progressions above +K in each exponent direction, where K exceeds every
     kink of the piecewise structure; kink_pad sets the safety margin and the
     result does not depend on it (there is a test for that).
+
+    Memoized for the life of the process: verify, jfun_n1 and the bridges
+    ask for the same (B, h, t, r) again, and the result is an immutable pair
+    of SignedRationals.  A raised BudgetError is not cached.
     """
     if B.size != 2:
         raise ValueError("n = 1 only")
@@ -373,19 +378,24 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
     prof = WeightProfile(1, h, t, r)
     K = top + kink_pad
 
-    # the tail probes and corner walks revisit terms; memo per call only
+    def term(sigma, e):
+        # valid by construction, so the form skips make_monomial
+        return _density_term(MonomialHermitian(2, sigma, e), B, prof)
+
+    # the box is visited once; the tail probes and corner walks beyond it
+    # revisit terms, so only those are memoized, per call
     @lru_cache(maxsize=None)
     def dterm(m1, m2):
-        return _density_term(diagonal((m1, m2)), B, prof)
+        return term((1, 2), (m1, m2))
 
     @lru_cache(maxsize=None)
     def aterm(e):
-        return _density_term(_antidiag(e), B, prof)
+        return term((2, 1), (e, e))
 
     box, dbox = [], []
     for m1 in range(-K, K + 1):
         for m2 in range(-K, K + 1):
-            tm = dterm(m1, m2)
+            tm = term((1, 2), (m1, m2))
             if tm is None:
                 continue
             box.append((1, tm))
@@ -393,7 +403,7 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
             if s:
                 dbox.append((s, tm))
     for e in range(-K, K + 1):
-        tm = aterm(e)
+        tm = term((2, 1), (e, e))
         if tm is None:
             continue
         box.append((1, tm))
@@ -479,13 +489,13 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
         deriv = Fraction(0)
         for m1 in range(lo, w + 1):
             for m2 in range(lo, w + 1):
-                x = at_q(diagonal((m1, m2)))
+                x = at_q(MonomialHermitian(2, (1, 2), (m1, m2)))
                 if x is None:
                     continue
                 value += x
                 deriv += (_min0(m1) + _min0(m2)) * x
         for e in range(lo, w + 1):
-            x = at_q(_antidiag(e))
+            x = at_q(MonomialHermitian(2, (2, 1), (e, e)))
             if x is None:
                 continue
             value += x

@@ -174,6 +174,15 @@ class TestBrute:
         with pytest.raises(ValueError):
             alpha_brute((0, 0), (-1,), 3, 1)
 
+    def test_padding(self):
+        # pad unimodular slots count as zeros appended to the ambient form
+        assert alpha_brute((1,), (1,), 3, 1, pad=2) == alpha_brute((1, 0, 0), (1,), 3, 1)
+        # a long padding is refused from its length, before anything is built
+        with pytest.raises(BudgetError):
+            alpha_brute((0,), (0,), 3, 1, pad=10 ** 7)
+        with pytest.raises(ValueError):
+            alpha_brute((0,), (0,), 3, 1, pad=-2)
+
     def test_pair_budget(self):
         # every vector solves the diagonal (all values vanish mod 9): 6561^2 pairs
         with pytest.raises(BudgetError, match="checks"):

@@ -167,6 +167,13 @@ class TestAlpha:
         assert res.exit_code == 3
         assert res.stdout == ""
 
+    def test_long_pad_brute_budget_exit_code(self, runner):
+        # the brute budget is checked from len(xi) + pad, so no padded tuple is built
+        res = invoke(runner, ["alpha", "--xi", "0", "--lam", "0", "--pad", "10000000",
+                              "--brute", "--q", "3", "--d", "1"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+
     def test_prime_check_budget_exit_code(self, runner):
         # a p over locint.PRIME_MAX is rejected before any trial division
         res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "0,0", "--brute",

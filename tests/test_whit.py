@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hermdens import whit
+from hermdens.errors import BudgetError
 from hermdens.locint import norm_integral, trace_pair_integral
 from hermdens.reps import (
     WeightProfile,
@@ -163,6 +164,45 @@ def test_profile_forms_agree_n2():
                 assert value == profile_statement(Y, prof)
 
 
+def _literal_profile_exponent(Y, h, t, r):
+    """Power of s in the profile of Y, summed index by index from the cut.
+
+    An index and its sigma image both above the cut (a1/a2) read e + 1 and
+    carry -2 T; both below (c1/c2) read e - 1; a crossing pair (b1/b2) reads
+    e and carries -T on each side.  M = 2n - t + 2r and T = t.
+    """
+    size = len(Y.sigma)
+    cut = size - h
+    big_m, big_t = size - t + 2 * r, t
+    total = 0
+    for j in range(1, size + 1):
+        e = Y.e[j - 1]
+        top, image_top = j <= cut, Y.sigma[j - 1] <= cut
+        if top and image_top:
+            shift, const = 1, -2
+        elif not top and not image_top:
+            shift, const = -1, 0
+        else:
+            shift, const = 0, -1
+        total += big_m * min(e, 0) + big_t * (min(e + shift, 0) + const)
+    return total
+
+
+def test_profile_matches_literal_classes():
+    # shares no code with classify or _profile_plan
+    for n in (1, 2):
+        ys = list(enumerate_reps(n, -2, 2))
+        for h in range(2 * n + 1):
+            for t in (0, 1):
+                for r in (0, 1):
+                    prof = WeightProfile(n, h, t, r)
+                    for Y in ys:
+                        _, slope, value = profile_f(Y, prof)
+                        want = _literal_profile_exponent(Y, h, t, r)
+                        assert value == SignedRational(npq(want)), (Y, prof)
+                        assert slope == sum(min(e, 0) for e in Y.e), (Y, prof)
+
+
 def test_profile_r_scaling():
     for Y in n1_forms(-2, 1):
         for r in (1, 2):
@@ -255,6 +295,42 @@ def test_density_kink_pad_invariance():
                        (A1, 1, 1, 1), (diagonal((2, -1)), 0, 1, 1), (anti(1), 1, 1, 0),
                        (anti(0), 2, 1, 1)):
         assert w_density_n1(B, h, t, r, kink_pad=4) == w_density_n1(B, h, t, r, kink_pad=6)
+
+
+DENSITY_INPUTS = ((A1, 1, 1, 0), (A1, 1, 0, 0), (diagonal((2, -1)), 0, 1, 1),
+                  (diagonal((0, 1)), 2, 1, 0), (anti(1), 1, 1, 0), (anti(0), 2, 0, 1))
+
+
+@pytest.mark.parametrize("B,h,t,r", DENSITY_INPUTS)
+def test_density_memo_matches_uncached(B, h, t, r):
+    first = w_density_n1(B, h, t, r)
+    assert w_density_n1.__wrapped__(B, h, t, r) == first
+    assert w_density_n1(B, h, t, r) is first
+
+
+def test_density_budget_error_not_cached():
+    B = diagonal((whit.DENSITY_MAX_EXP + 1, 0))
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            w_density_n1(B, 1, 1)
+
+
+def test_profile_plan_cached_per_involution_and_h(monkeypatch):
+    from hermdens.verify import run_suite
+
+    pairs = set()
+    items = whit._profile_items
+
+    def spy(Y, h):
+        pairs.add((Y.sigma, h))
+        return items(Y, h)
+
+    monkeypatch.setattr(whit, "_profile_items", spy)
+    whit._profile_plan.cache_clear()
+    whit.w_density_n1.cache_clear()
+    report = run_suite("all", q=3)
+    assert report["failed"] == 0
+    assert 0 < whit._profile_plan.cache_info().currsize <= len(pairs)
 
 
 def test_factored_term_matches_product():
