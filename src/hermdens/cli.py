@@ -186,7 +186,7 @@ def integral(ctx, kind, regions, e, oracle, p, depth):
 @click.option("--emin", type=int, default=None)
 @click.option("--emax", type=int, default=None)
 @click.option("--r", type=int, default=0, show_default=True,
-              help="Lattice scaling exponent (symbolic mode).")
+              help="Lattice scaling exponent.")
 @click.option("--derivative", is_flag=True)
 @click.pass_context
 def wdens(ctx, n, h, t, b_text, symbolic, q, emin, emax, r, derivative):

@@ -75,11 +75,6 @@ class SignedLaurent:
             raise ValueError("zero polynomial has no exponent range")
         return min(self.coeffs)
 
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponent range")
-        return max(self.coeffs)
-
     def shifted(self, k: int) -> "SignedLaurent":
         """Multiply by s^k."""
         return SignedLaurent({e + k: c for e, c in self.coeffs.items()})

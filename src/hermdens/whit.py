@@ -9,13 +9,16 @@ of a product of three factors:
 
 Everything stays exact.  Each of the three factors, and so each term, has
 the form c s^N (s-1)^A (s+1)^B and is carried as the tuple (c, N, A, B) with c
-a nonzero rational (an int for slot and gram values); the form is unique, so
+a nonzero rational, an int when integral (symb._div); the form is unique, so
 tuple equality is value equality.
 The gram and profile factors read per-involution plans (_gram_plan,
 _profile_plan), so a term costs one walk over each plan with the exponents.
-The finite kink region is summed over one common denominator and
-canonicalized once; the tails beyond it are geometric, which the code checks
-as exponent differences before summing them in closed form.
+Both density routes read the finite box of forms through one walk (_box)
+and merge its terms into sums {(N, A, B): c}.  The exact route puts a merged
+sum over one common denominator and canonicalizes once; the tails beyond
+the box are geometric, which the code checks as exponent differences before
+summing them in closed form.  The numeric route evaluates each distinct
+(N, A, B) once at s = -q.
 
 Derivatives are taken against the lattice scaling variable X = s^{-2r} with
 the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
@@ -31,7 +34,7 @@ from math import lcm
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_solutions, norm_term, trace_pair_term
 from .reps import MonomialHermitian, WeightProfile, classify
-from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, _expand, _pm_coeffs, _pm_poly, npq
+from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, _div, _expand, _pm_coeffs, _pm_poly, npq
 
 
 def _min0(x: int) -> int:
@@ -46,23 +49,31 @@ def _tmul(x: tuple, y: tuple) -> tuple:
     return x[0] * y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]
 
 
-def _numerator(weighted: list, low: tuple) -> SignedLaurent:
-    """Sum of w * term times s^-N0 (s-1)^-A0 (s+1)^-B0, low = (N0, A0, B0).
+def _add(acc: dict, w: int, term: tuple) -> None:
+    """Add w * term to the merged sum acc = {(N, A, B): c}, dropping a 0 entry."""
+    key = term[1:]
+    c = acc.get(key, 0) + w * term[0]
+    if c:
+        acc[key] = c
+    else:
+        acc.pop(key, None)
 
-    low is at most every term's exponents, so each summand is a polynomial;
+
+def _numerator(acc: dict, low: tuple) -> SignedLaurent:
+    """Sum of the merged terms of acc times s^-N0 (s-1)^-A0 (s+1)^-B0, low = (N0, A0, B0).
+
+    low is at most every key's exponents, so each summand is a polynomial;
     coefficients accumulate as integers over the common denominator of the c.
     """
     n0, a0, b0 = low
-    den = 1
-    for _, t in weighted:
-        den = lcm(den, t[0].denominator)
-    acc: dict[int, int] = {}
-    for w, (c, n, a, b) in weighted:
-        k = w * c.numerator * (den // c.denominator)
+    den = lcm(*(c.denominator for c in acc.values()))
+    out: dict[int, int] = {}
+    for (n, a, b), c in acc.items():
+        k = c.numerator * (den // c.denominator)
         for e, x in enumerate(_pm_coeffs(a - a0, b - b0), n - n0):
             if x:
-                acc[e] = acc.get(e, 0) + k * x
-    return SignedLaurent({e: Fraction(v, den) for e, v in acc.items()})
+                out[e] = out.get(e, 0) + k * x
+    return SignedLaurent({e: Fraction(v, den) for e, v in out.items()})
 
 
 def _evaluate(term: tuple, q: int) -> Fraction:
@@ -263,9 +274,9 @@ def _alpha_factor(Y: MonomialHermitian) -> tuple:
         m1, m2 = Y.e
         k = -4 + m1 + 3 * m2 if m1 >= m2 else -2 + 3 * m1 + m2
         # (q + 1)^2 q^k = (s - 1)^2 (-1)^k s^k
-        return Fraction(-1 if k % 2 else 1), k, 2, 0
+        return -1 if k % 2 else 1, k, 2, 0
     # q (q^2 - 1) q^(4e - 4) = -s (s - 1) (s + 1) s^(4e - 4)
-    return Fraction(-1), 4 * Y.e_of(1) - 3, 1, 1
+    return -1, 4 * Y.e_of(1) - 3, 1, 1
 
 
 def alpha_iwahori_n1(Y: MonomialHermitian) -> SignedRational:
@@ -304,13 +315,13 @@ def _density_term(Y: MonomialHermitian, B: MonomialHermitian, prof: WeightProfil
         return None
     base_exp, slope = _profile_exps(Y, prof)
     a = _alpha_factor(Y)
-    return g[0] / a[0], g[1] + base_exp + 2 * prof.r * slope - a[1], g[2] - a[2], g[3] - a[3]
+    return _div(g[0], a[0]), g[1] + base_exp + 2 * prof.r * slope - a[1], g[2] - a[2], g[3] - a[3]
 
 
 def _ratio(later, first: tuple) -> tuple:
     if later is None:
         raise InvariantError("tail vanishes after a nonzero term")
-    return (later[0] / first[0], later[1] - first[1], later[2] - first[2],
+    return (_div(later[0], first[0]), later[1] - first[1], later[2] - first[2],
             later[3] - first[3])
 
 
@@ -323,18 +334,18 @@ def _check_contracting(rho: tuple) -> None:
         raise InvariantError(f"tail ratio does not contract: {rho!r}")
 
 
-def _close(box: list, tails: dict) -> SignedRational:
-    """Exact sum of weighted box terms plus the tails.
+def _close(box: dict, tails: dict) -> SignedRational:
+    """Exact sum of a merged box sum plus the tails.
 
-    box holds (weight, term) pairs; tails maps a tuple of ratios to the
-    (weight, first term) pairs of the series sharing them, each series
-    summing to first / prod(1 - ratio).  Everything goes over one common
-    denominator and is canonicalized once.
+    box is a merged sum {(N, A, B): c}; tails maps a tuple of ratios to the
+    merged first terms of the series sharing them, each series summing to
+    first / prod(1 - ratio).  Everything goes over one common denominator
+    and is canonicalized once.
     """
-    every = box + [x for group in tails.values() for x in group]
-    if not every:
+    keys = [k for part in (box, *tails.values()) for k in part]
+    if not keys:
         return SR_ZERO
-    low = tuple(min(t[i] for _, t in every) for i in (1, 2, 3))
+    low = tuple(min(k[i] for k in keys) for i in (0, 1, 2))
     num = _numerator(box, low)
     den = SL_ONE
     for ratios, group in tails.items():
@@ -349,10 +360,29 @@ def _close(box: list, tails: dict) -> SignedRational:
     return SignedRational(num, den)
 
 
+def _box(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
+    """Yield (top, slope, term) for each nonzero density term with exponents in [lo, hi].
+
+    The diagonal forms (m1, m2) come first, then the antidiagonal (e, e);
+    top is the larger exponent and slope the derivative weight.  The forms
+    are valid by construction, so they skip make_monomial.
+    """
+    for m1 in range(lo, hi + 1):
+        for m2 in range(lo, hi + 1):
+            tm = _density_term(MonomialHermitian(2, (1, 2), (m1, m2)), B, prof)
+            if tm is not None:
+                yield max(m1, m2), _min0(m1) + _min0(m2), tm
+    for e in range(lo, hi + 1):
+        tm = _density_term(MonomialHermitian(2, (2, 1), (e, e)), B, prof)
+        if tm is not None:
+            yield e, 2 * _min0(e), tm
+
+
 # the summed box has (2K + 1)^2 terms with K = max|e| + kink_pad
 DENSITY_MAX_EXP = 300
-# numeric partial sums carry q-adic numerators, so their cost grows with q;
-# this admits every prime that verify (q <= 53) evaluates at
+# numeric sums evaluate each distinct (N, A, B) of the box at s = -q, and
+# those values grow with q; this admits every prime that verify (q <= 53)
+# evaluates at
 NUMERIC_MAX_Q = 53
 
 
@@ -378,38 +408,20 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
     prof = WeightProfile(1, h, t, r)
     K = top + kink_pad
 
-    def term(sigma, e):
-        # valid by construction, so the form skips make_monomial
-        return _density_term(MonomialHermitian(2, sigma, e), B, prof)
-
     # the box is visited once; the tail probes and corner walks beyond it
     # revisit terms, so only those are memoized, per call
     @lru_cache(maxsize=None)
     def dterm(m1, m2):
-        return term((1, 2), (m1, m2))
+        return _density_term(MonomialHermitian(2, (1, 2), (m1, m2)), B, prof)
 
     @lru_cache(maxsize=None)
     def aterm(e):
-        return term((2, 1), (e, e))
+        return _density_term(MonomialHermitian(2, (2, 1), (e, e)), B, prof)
 
-    box, dbox = [], []
-    for m1 in range(-K, K + 1):
-        for m2 in range(-K, K + 1):
-            tm = term((1, 2), (m1, m2))
-            if tm is None:
-                continue
-            box.append((1, tm))
-            s = _min0(m1) + _min0(m2)
-            if s:
-                dbox.append((s, tm))
-    for e in range(-K, K + 1):
-        tm = term((2, 1), (e, e))
-        if tm is None:
-            continue
-        box.append((1, tm))
-        s = 2 * _min0(e)
-        if s:
-            dbox.append((s, tm))
+    box, dbox = {}, {}
+    for _, slope, tm in _box(B, prof, -K, K):
+        _add(box, 1, tm)
+        _add(dbox, slope, tm)
 
     # below -K every term dies on a unit-region integral; spot check
     for probe in (dterm(-K - 1, 0), dterm(0, -K - 1), dterm(-K - 1, K + 1),
@@ -429,9 +441,9 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
         if t3 != _tmul(t2, rho):
             raise InvariantError("tail is not geometric")
         _check_contracting(rho)
-        tails.setdefault((rho,), []).append((1, t1))
+        _add(tails.setdefault((rho,), {}), 1, t1)
         if slope:
-            dtails.setdefault((rho,), []).append((slope, t1))
+            _add(dtails.setdefault((rho,), {}), slope, t1)
 
     for m2 in range(-K, K + 1):
         strip(dterm(K + 1, m2), dterm(K + 2, m2), dterm(K + 3, m2), _min0(m2))
@@ -453,7 +465,7 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
             raise InvariantError("corner is not geometric")
         _check_contracting(rho)
         _check_contracting(rhod)
-        tails.setdefault((rho, rhod), []).append((1, v))
+        _add(tails.setdefault((rho, rhod), {}), 1, v)
 
     corner(K + 1, K + 1, 1, 0)  # m1 >= m2 > K
     corner(K + 1, K + 2, 0, 1)  # m2 > m1 > K
@@ -466,7 +478,9 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     """Numeric partial sums at a concrete prime, with a tail report.
 
     The window is widened downward to the vanishing cutoff so that only the
-    upper tail is actually truncated.
+    upper tail is actually truncated.  One pass over the box up to
+    e_window + 2 fills the sums inside the window and in the ring beyond
+    it; the ring's sums are the shifts the tail report gives.
     """
     if B.size != 2 or prof.n != 1:
         raise ValueError("n = 1 only")
@@ -478,38 +492,20 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     _check_prime(q)
     K = top + 4
 
-    @lru_cache(maxsize=None)
-    def at_q(Y):
-        tm = _density_term(Y, B, prof)
-        return None if tm is None else _evaluate(tm, q)
-
-    def partial(w):
-        lo = -max(w, K)
-        value = Fraction(0)
-        deriv = Fraction(0)
-        for m1 in range(lo, w + 1):
-            for m2 in range(lo, w + 1):
-                x = at_q(MonomialHermitian(2, (1, 2), (m1, m2)))
-                if x is None:
-                    continue
-                value += x
-                deriv += (_min0(m1) + _min0(m2)) * x
-        for e in range(lo, w + 1):
-            x = at_q(MonomialHermitian(2, (2, 1), (e, e)))
-            if x is None:
-                continue
-            value += x
-            deriv += 2 * _min0(e) * x
-        return value, deriv
-
-    v1, d1 = partial(e_window)
-    v2, d2 = partial(e_window + 2)
+    inner, ring = ({}, {}), ({}, {})
+    for m, slope, tm in _box(B, prof, -max(e_window + 2, K), e_window + 2):
+        value, deriv = ring if m > e_window else inner
+        _add(value, 1, tm)
+        _add(deriv, slope, tm)
+    sums = inner + ring
+    at = {k: _evaluate((1, *k), q) for acc in sums for k in acc}
+    v, d, dv, dd = (sum((c * at[k] for k, c in acc.items()), Fraction(0)) for acc in sums)
     return {
-        "value": v1,
-        "derivative": d1,
+        "value": v,
+        "derivative": d,
         "tail_report": {
             "window": e_window,
-            "value_shift": float(abs(v2 - v1)),
-            "derivative_shift": float(abs(d2 - d1)),
+            "value_shift": float(abs(dv)),
+            "derivative_shift": float(abs(dd)),
         },
     }

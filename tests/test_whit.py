@@ -21,7 +21,7 @@ from hermdens.reps import (
     is_in_Rh,
     make_monomial,
 )
-from hermdens.symb import SL_ONE, SignedLaurent, SignedRational, npq
+from hermdens.symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, npq
 from hermdens.whit import (
     alpha_iwahori_brute,
     alpha_iwahori_n1,
@@ -388,3 +388,71 @@ def test_density_truncated_report():
     assert abs(rep["value"] - Fraction(16, 243)) < Fraction(1, 10 ** 9)
     assert rep["tail_report"]["window"] == 20
     assert rep["tail_report"]["value_shift"] < 1e-9
+
+
+def _truncated_reference(B, prof, q, w):
+    # per-form partial sums at s = -q over the box the numeric route reads,
+    # widened downward to the cutoff -K, K = max|e| + 4
+    K = max(abs(l) for l in B.e) + 4
+    value = deriv = Fraction(0)
+    for Y in n1_forms(-max(w, K), w):
+        tm = whit._density_term(Y, B, prof)
+        if tm is not None:
+            x = whit._evaluate(tm, q)
+            value += x
+            deriv += slope_of(Y) * x
+    return value, deriv
+
+
+TRUNCATED_INPUTS = ((A1, WeightProfile(1, 1, 1, 0)), (diagonal((2, -1)), WeightProfile(1, 0, 1, 1)),
+                    (anti(1), WeightProfile(1, 0, 1, 1)))
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+@pytest.mark.parametrize("B,prof", TRUNCATED_INPUTS)
+def test_density_truncated_matches_per_form_sums(B, prof, q):
+    # windows below, at and above K = max|e| + 4
+    for w in (2, 6, 20):
+        v1, d1 = _truncated_reference(B, prof, q, w)
+        v2, d2 = _truncated_reference(B, prof, q, w + 2)
+        rep = w_density_truncated(B, prof, q, w)
+        assert (rep["value"], rep["derivative"]) == (v1, d1), (B, prof, q, w)
+        assert rep["tail_report"] == {"window": w, "value_shift": float(abs(v2 - v1)),
+                                      "derivative_shift": float(abs(d2 - d1))}
+
+
+@pytest.mark.parametrize("B,prof", TRUNCATED_INPUTS)
+def test_density_truncated_derivative_matches_symbolic(B, prof):
+    value, prime = w_density_n1(B, prof.h, prof.t, prof.r)
+    rep = w_density_truncated(B, prof, 3, 20)
+    assert rep["tail_report"]["derivative_shift"] < 1e-9
+    assert abs(rep["derivative"] - prime.evaluate(3)) < Fraction(1, 10 ** 9)
+    assert abs(rep["value"] - value.evaluate(3)) < Fraction(1, 10 ** 9)
+
+
+def test_close_merged_sum_with_cancellation():
+    # the second and fourth terms share (N, A, B) and cancel in the merged
+    # box; the tail group cancels in part
+    terms = [(1, -2, 1, 0), (Fraction(1, 2), 0, -1, 2), (3, 1, 0, -1), (Fraction(-1, 2), 0, -1, 2),
+             (2, 0, 2, 2)]
+    group = [(2, 0, 1, 0), (1, 3, 0, 1), (-2, 0, 1, 0)]
+    rho = (-1, -2, 0, 0)
+    box, first = {}, {}
+    for tm in terms:
+        whit._add(box, 1, tm)
+    for tm in group:
+        whit._add(first, 1, tm)
+    assert len(box) == 3 and len(first) == 1
+    want = sum((whit._expand(tm) for tm in terms), SignedRational(0))
+    assert whit._close(box, {}) == want
+    series = sum((whit._expand(tm) for tm in group), SignedRational(0))
+    series = series / SignedRational(SL_ONE - SignedLaurent.monomial(-2, -1))
+    assert whit._close(box, {(rho,): first}) == want + series
+
+    # weights enter as multipliers, and a sum that cancels entirely is zero
+    acc = {}
+    whit._add(acc, 2, (3, 1, 0, -1))
+    whit._add(acc, -3, (2, 1, 0, -1))
+    assert acc == {}
+    assert whit._close(acc, {}) == SR_ZERO
+    assert whit._close({}, {(rho,): acc}) == SR_ZERO
