@@ -376,7 +376,9 @@ def jcount_oracle(l_exps: Sequence[int], m_exps: Sequence[int], p: int, d: int,
     if kind in ("J", "J1") and k % 2:
         raise ValueError("membership kinds need even rank")
     _check_prime(p)
-    if p ** (2 * d * m) > 10 ** 5 or k > 2:
+    # p >= 3, so 2 d m > 10 is over the budget already: a huge depth is
+    # refused before its power is built
+    if d * m > 5 or p ** (2 * d * m) > 10 ** 5 or k > 2:
         raise BudgetError("counting budget exceeded")
     restricted = {"J": 1, "J1": k // 2 + 1, "I": 0}[kind]
     # restricted columns lie in pi * (dual of M): coordinate i in pi^max(0, 1 - g_i) O

@@ -19,15 +19,20 @@ with no numerical cancellation anywhere.
 
 count_solutions counts solutions of hermitian equations v_i A v_j^* = t_ij
 over O_E / p^d with coordinates restricted to these regions; the three
-brute-force density oracles in cdens and whit are thin callers of it.
+brute-force density oracles in cdens and whit are thin callers of it.  It
+enumerates residue classes, not vectors: the Gram matrix of a pair is a sum
+of one contribution per orbit of the form's involution, so each orbit's
+classes are counted once and the orbits' histograms of Gram values are
+combined.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 from operator import mod, mul
 
 from .errors import BudgetError, InvariantError
@@ -279,73 +284,177 @@ def _trace_brute(p: int, k1: str, k2: str, e: int) -> Fraction:
 # solution counting over O_E / p^d
 
 
-# vector pairs one count_solutions pair stage may stand for: the product of
-# the two roles' vector counts, however few distinct key pairs it checks
+# vector pairs one count_solutions call may stand for at k = 2: the product of
+# the two roles' vector counts, taken from their own-value totals before any
+# pair work
 PAIR_BUDGET = 5_000_000
 
 
-def _residues(kind: str, p: int, P: int) -> list:
-    """Elements x + y w of one region of O_E / P, as pairs (x, y)."""
+def _coordinate_classes(kind: str, p: int, P: int, M: int) -> list:
+    """Residues (x, y) mod M of one region of O_E / P, each with its number of lifts mod P.
+
+    M is 1 or a multiple of p, so a residue decides whether it lies in the region.
+    """
+    if M == 1:
+        full, inner = P * P, (P // p) ** 2
+        return [((0, 0), {"O": full, "piO": inner, "O_unit": full - inner}[kind])]
     step = p if kind == "piO" else 1
-    points = [(x, y) for x in range(0, P, step) for y in range(0, P, step)]
-    if kind == "O_unit":
-        return [(x, y) for x, y in points if x % p or y % p]
-    return points
+    lifts = (P // M) ** 2
+    return [((x, y), lifts) for x in range(0, M, step) for y in range(0, M, step)
+            if kind != "O_unit" or x % p or y % p]
 
 
 def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     """Count tuples of 1 or 2 row vectors v_i over O_E / p^d with
     v_i A v_j^* = target[i][j].
 
-    O_E = Z_p[w] with w^2 a nonresidue.  A is the hermitian monomial form
-    with p^exps[j] in row sigma[j], column j (rows counted from 0), target a
-    hermitian matrix of rational integers, and coordinate j of v_i ranges
-    over regions[i][j], one of "O", "O_unit", "piO".
+    O_E = Z_p[w] with w^2 a nonresidue.  A is the monomial form with
+    p^exps[j] in row sigma[j], column j (rows counted from 0), sigma an
+    involution of range(m) (ValueError otherwise), target a matrix of
+    rational integers, and coordinate j of v_i ranges over regions[i][j],
+    one of "O", "O_unit", "piO".  Values are compared as (re, im) mod p^d,
+    so A need not be hermitian.
 
-    The pair stage reads a first vector only through the coefficients
-    (re, im) mod p^d of u -> v A u^*, and a second vector only through
-    coordinate j mod p^(d - min(exps[j], d)), the factor that p^exps[j]
-    does not kill.  Each role is kept as a Counter of those keys and the
-    stage runs over distinct key pairs.  It raises BudgetError before it
-    runs when the vector pairs would exceed PAIR_BUDGET.
+    The blocks are the orbits of sigma: a fixed point or a 2-cycle.  The
+    Gram matrix of (v1, v2) is a sum of one contribution per block, and a
+    block's contribution reads its coordinates only mod p^(d - min(e_b, d)),
+    e_b the smallest exponent in the block.  Each block is enumerated once
+    per region tuple over these residue classes, each class weighted by its
+    number of lifts mod p^d.  At k = 1 the blocks' own-value histograms are
+    convolved and read at (t11, 0).  At k = 2 the same convolution gives
+    each role's vector count; their product is checked against PAIR_BUDGET
+    (BudgetError) before any pair work.  The (own1, own2, cross) histograms
+    of every block but the one with the most classes are then convolved, and
+    that last block, kept bucketed by own value, has its cross values
+    counted once per (own1, own2) pair the others need.  Within a bucket a
+    first vector is read through the coefficients (re, im) of u -> v A u^*
+    and a second through coordinate j mod p^(d - min(exps[j], d)), so the
+    cross counts run over distinct keys.
     """
     k = len(regions)
     if k not in (1, 2):
         raise ValueError(f"count_solutions takes 1 or 2 vectors, got {k}")
     if d < 1:
         raise ValueError(f"counting depth must be at least 1, got d={d}")
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(len(sigma))) or any(sigma[s] != j for j, s in enumerate(sigma)):
+        raise ValueError(f"sigma must be an involution of range({len(sigma)}), got {sigma}")
     P = p ** d
     c = _nonresidue(p)
     a = [pow(p, e, P) for e in exps]
-    mods = [P // p ** min(e, d) for e in exps for _ in "xy"]
-    roles = [Counter() for _ in range(k)]
-    # each distinct region tuple is enumerated once; a vector counts for
-    # role i only when its own value is target[i][i]
-    for reg in dict.fromkeys(tuple(r) for r in regions):
-        wanted = {}
-        for i in range(k):
-            if tuple(regions[i]) == reg:
-                wanted.setdefault(target[i][i] % P, []).append(i)
-        for v in product(*(_residues(kind, p, P) for kind in reg)):
-            re, im = [], []
-            for a_j, s in zip(a, sigma):
-                wx, wy = a_j * v[s][0], a_j * v[s][1]
-                re += (wx, -c * wy)
-                im += (wy, -wx)
-            flat = sum(v, ())
-            hits = wanted.get(sum(map(mul, re, flat)) % P)
-            if hits and sum(map(mul, im, flat)) % P == 0:
-                for i in hits:
-                    if i:
-                        roles[i][tuple(map(mod, flat, mods))] += 1
+    mods = [P // p ** min(e, d) for e in exps]
+    blocks = [(j,) if s == j else (j, s) for j, s in enumerate(sigma) if s >= j]
+    # per block: each role's region tuple, and per distinct tuple the
+    # coordinate classes mod p^(d - min(e_b, d))
+    regs = {b: [tuple(regions[i][j] for j in b) for i in range(k)] for b in blocks}
+    grids = {b: {reg: [_coordinate_classes(kind, p, P, P // p ** min(min(exps[j] for j in b), d))
+                       for kind in reg] for reg in regs[b]} for b in blocks}
+
+    def sub(x, y):
+        return tuple((s - t) % P for s, t in zip(x, y))
+
+    def convolve(first, second):
+        out = Counter()
+        for x, m in first.items():
+            for y, n in second.items():
+                out[tuple((s + t) % P for s, t in zip(x, y))] += m * n
+        return out
+
+    def classes(b, grid):
+        """(own, u, n) per class of block b: own is v A v^* on the block."""
+        if len(b) == 1:
+            aj = a[b[0]]
+            for (x, y), n in grid[0]:
+                yield (aj * (x * x - c * y * y) % P, 0), (x, y), n
+            return
+        # v_l conj(v_j) p^e_j + v_j conj(v_l) p^e_l for the 2-cycle (j, l)
+        plus, minus = a[b[0]] + a[b[1]], a[b[0]] - a[b[1]]
+        for (x1, y1), n1 in grid[0]:
+            for (x2, y2), n2 in grid[1]:
+                yield ((plus * (x1 * x2 - c * y1 * y2) % P, minus * (x1 * y2 - x2 * y1) % P),
+                       (x1, y1, x2, y2), n1 * n2)
+
+    def tally(b, keep):
+        """Each role's classes on block b whose own value lies in keep[i]
+        (every one when keep[i] is None), as own -> Counter(pairing key ->
+        multiplicity); at k = 1 the key is ()."""
+        keyed = [defaultdict(Counter) for _ in range(k)]
+        partner = [b.index(sigma[j]) for j in b]
+        flat_mods = [mods[j] for j in b for _ in "xy"]
+        for reg, grid in grids[b].items():
+            roles = [i for i in range(k) if regs[b][i] == reg]
+            for own, u, n in classes(b, grid):
+                for i in roles:
+                    if keep[i] is not None and own not in keep[i]:
+                        continue
+                    if k == 1:
+                        key = ()
+                    elif i:
+                        key = tuple(map(mod, u, flat_mods))
                     else:
-                        roles[i][tuple(x % P for x in re), tuple(x % P for x in im)] += 1
+                        re, im = [], []
+                        for j, s in zip(b, partner):
+                            wx, wy = a[j] * u[2 * s] % P, a[j] * u[2 * s + 1] % P
+                            re += (wx, -c * wy % P)
+                            im += (wy, -wx % P)
+                        key = tuple(re), tuple(im)
+                    keyed[i][own][key] += n
+        return keyed
+
+    def own_hist(keyed):
+        return Counter({own: keys.total() for own, keys in keyed.items()})
+
+    wanted = [(target[i][i] % P, 0) for i in range(k)]
+    if not blocks:
+        # no coordinates: the empty vectors have every value 0
+        return int(all(w == (0, 0) for w in wanted) and (k == 1 or target[0][1] % P == 0))
+    *rest, last = sorted(blocks, key=lambda b: sum(prod(map(len, g)) for g in grids[b].values()))
+    tallies = [tally(b, [None] * k) for b in rest]
+    others = [reduce(convolve, (own_hist(kd[i]) for kd in tallies), Counter({(0, 0): 1}))
+              for i in range(k)]
+    # the last block keeps only the own values the others leave it to reach
+    keyed = tally(last, [{sub(wanted[i], o) for o in others[i]} for i in range(k)])
+    lasts = [own_hist(kd) for kd in keyed]
+    totals = [sum(n * lasts[i][sub(wanted[i], o)] for o, n in others[i].items()) for i in range(k)]
     if k == 1:
-        return roles[0].total()
-    first, second = roles
-    pairs = first.total() * second.total()
+        return totals[0]
+    pairs = totals[0] * totals[1]
     if pairs > PAIR_BUDGET:
         raise BudgetError(f"pair counting budget exceeded: {pairs} > {PAIR_BUDGET} checks")
-    t = target[0][1] % P
-    return sum(mu * mv for (re, im), mu in first.items() for u, mv in second.items()
-               if sum(map(mul, re, u)) % P == t and sum(map(mul, im, u)) % P == 0)
+
+    def cross(keys1, keys2):
+        """Cross values (re, im) of every key pair, weighted by multiplicity."""
+        out = Counter()
+        for (re, im), m in keys1.items():
+            for u, n in keys2.items():
+                out[sum(map(mul, re, u)) % P, sum(map(mul, im, u)) % P] += m * n
+        return out
+
+    def joint(b_keyed):
+        """Histogram of (own1, own2, cross) on one block."""
+        return Counter({o1 + o2 + x: n for o1, keys1 in b_keyed[0].items()
+                        for o2, keys2 in b_keyed[1].items()
+                        for x, n in cross(keys1, keys2).items()})
+
+    rest_joint = reduce(convolve, map(joint, tallies), Counter({(0,) * 6: 1}))
+    # group the others' entries by the (own1, own2) they leave the last block;
+    # each such pair of buckets is then joined once
+    t = (target[0][1] % P, 0)
+    wants = {}
+    for key, n in rest_joint.items():
+        need = sub(wanted[0], key[:2]), sub(wanted[1], key[2:4])
+        if need[0] in keyed[0] and need[1] in keyed[1]:
+            wants.setdefault(need, Counter())[sub(t, key[4:])] += n
+    total = 0
+    for (need1, need2), want in wants.items():
+        keys1, keys2 = keyed[0][need1], keyed[1][need2]
+        if len(want) > 1:
+            counts = cross(keys1, keys2)
+            total += sum(w * counts[x] for x, w in want.items())
+            continue
+        # one wanted cross value, as always for a single block: test each
+        # pair against it, the real part first
+        ((x_re, x_im), w), = want.items()
+        total += w * sum(m * n for (re, im), m in keys1.items() for u, n in keys2.items()
+                         if sum(map(mul, re, u)) % P == x_re and sum(map(mul, im, u)) % P == x_im)
+    return total

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from hermdens.cdens import (
+    JCount,
     _count_subpartitions,
     _subpartitions,
     alpha_brute,
@@ -301,6 +303,15 @@ class TestLatticeCounts:
     def test_pair_budget(self):
         with pytest.raises(BudgetError, match="checks"):
             jcount_oracle((1, 1), (1, 1, 1, 1), 3, 1, "I")
+
+    def test_huge_depth_refused_before_its_power(self):
+        # 3^(2 * 10^7) would take seconds to build; d * m > 5 is refused first
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            jcount_oracle((0,), (0,), 3, 10 ** 7, "I")
+        assert time.perf_counter() - start < 1
+        # the largest accepted depth at m = 1 still counts
+        assert jcount_oracle((0,), (0,), 3, 5, "I") == JCount(324, Fraction(4, 9))
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9])

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermdens.errors import InvariantError
 from hermdens.locint import (
@@ -172,3 +173,30 @@ def test_count_solutions_matches_literal_count():
     ]
     for case in cases:
         assert count_solutions(*case) == _literal_count(*case), case
+
+
+@st.composite
+def counting_inputs(draw):
+    """Inputs small enough for _literal_count: p^d in {3, 5, 9} and P^(2m) <= 729."""
+    p, d = draw(st.sampled_from([(3, 1), (5, 1), (3, 2)]))
+    P = p ** d
+    m = draw(st.sampled_from([n for n in (3, 2, 1, 0) if P ** (2 * n) <= 729]))
+    # the identity, or the first two coordinates swapped (unequal exponents allowed)
+    swap = m >= 2 and draw(st.booleans())
+    sigma = (1, 0, *range(2, m)) if swap else tuple(range(m))
+    exps = tuple(draw(st.integers(0, d + 1)) for _ in range(m))
+    k = draw(st.integers(1, 2))
+    regions = [tuple(draw(st.sampled_from(REGIONS)) for _ in range(m)) for _ in range(k)]
+    target = [[draw(st.integers(0, P - 1)) for _ in range(k)] for _ in range(k)]
+    return sigma, exps, target, regions, p, d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(counting_inputs())
+def test_count_solutions_matches_literal_count_property(case):
+    assert count_solutions(*case) == _literal_count(*case)
+
+
+def test_count_solutions_rejects_non_involution():
+    with pytest.raises(ValueError, match="involution"):
+        count_solutions((1, 2, 0), (0, 0, 0), [[1]], [("O",) * 3], 3, 1)

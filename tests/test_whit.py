@@ -276,6 +276,13 @@ def test_alpha_brute_guards():
         alpha_iwahori_brute(diagonal((-1, 0)), 3, 1)
 
 
+def test_alpha_brute_pair_budget_message():
+    # the role counts 15000 x 3000 are taken before any pair work
+    with pytest.raises(BudgetError) as err:
+        alpha_iwahori_brute(anti(0), 5, 2)
+    assert str(err.value) == "pair counting budget exceeded: 45000000 > 5000000 checks"
+
+
 def test_density_unimodular_anchor():
     value, prime = w_density_n1(A1, 1, 1)
     assert value == SignedRational(SignedLaurent({-3: -1, -4: 2, -5: -1}))
