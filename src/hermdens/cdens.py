@@ -239,6 +239,8 @@ def alpha_brute(ambient: Sequence[int], target: Sequence[int], p: int, d: int,
     """
     a_exps = tuple(int(x) for x in ambient)
     b_exps = tuple(int(x) for x in target)
+    if len(a_exps) + pad == 0 or not b_exps:
+        raise ValueError("both forms must be nonempty")
     if min(a_exps + b_exps) < 0:
         raise ValueError("brute counting needs nonnegative exponents")
     if pad < 0:

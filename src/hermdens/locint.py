@@ -312,8 +312,8 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     p^exps[j] in row sigma[j], column j (rows counted from 0), sigma an
     involution of range(m) (ValueError otherwise), target a matrix of
     rational integers, and coordinate j of v_i ranges over regions[i][j],
-    one of "O", "O_unit", "piO".  Values are compared as (re, im) mod p^d,
-    so A need not be hermitian.
+    one of "O", "O_unit", "piO" (ValueError otherwise).  Values are
+    compared as (re, im) mod p^d, so A need not be hermitian.
 
     The blocks are the orbits of sigma: a fixed point or a 2-cycle.  The
     Gram matrix of (v1, v2) is a sum of one contribution per block, and a
@@ -334,6 +334,9 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     k = len(regions)
     if k not in (1, 2):
         raise ValueError(f"count_solutions takes 1 or 2 vectors, got {k}")
+    for reg in regions:
+        for kind in reg:
+            _check_region(kind)
     if d < 1:
         raise ValueError(f"counting depth must be at least 1, got d={d}")
     sigma = tuple(sigma)

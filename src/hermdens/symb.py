@@ -232,6 +232,7 @@ def _div(a, b):
 
 
 def _as_sl(x):
+    """x as a SignedLaurent, NotImplemented for any other type."""
     if isinstance(x, SignedLaurent):
         return x
     if isinstance(x, (int, Fraction)):
@@ -253,32 +254,13 @@ def _pdeg(a: dict) -> int:
     return max(a)
 
 
-def _pmod(a: dict, b: dict) -> dict:
-    # remainder of a by b, both min-exp-0 dicts, b nonzero
-    a = dict(a)
-    db, lb = _pdeg(b), b[_pdeg(b)]
-    while a and _pdeg(a) >= db:
-        da, la = _pdeg(a), a[_pdeg(a)]
-        f = _div(la, lb)
-        shift = da - db
-        for e, c in b.items():
-            e2 = e + shift
-            v = a.get(e2, 0) - f * c
-            if v:
-                a[e2] = v
-            else:
-                a.pop(e2, None)
-    return a
-
-def _pdivexact(a: dict, b: dict) -> dict:
-    # exact quotient a / b; raises if not divisible
+def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
+    # quotient and remainder of a by b, both min-exp-0 dicts, b nonzero
     a = dict(a)
     out = {}
     db, lb = _pdeg(b), b[_pdeg(b)]
-    while a:
+    while a and _pdeg(a) >= db:
         da = _pdeg(a)
-        if da < db:
-            raise ArithmeticError("inexact polynomial division")
         f = _div(a[da], lb)
         shift = da - db
         out[shift] = f
@@ -289,6 +271,14 @@ def _pdivexact(a: dict, b: dict) -> dict:
                 a[e2] = v
             else:
                 a.pop(e2, None)
+    return out, a
+
+
+def _pdivexact(a: dict, b: dict) -> dict:
+    # exact quotient a / b; raises if not divisible
+    out, rem = _pdivmod(a, b)
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
     return out
 
 
@@ -302,7 +292,7 @@ def _strip(a: dict) -> dict:
 def _pgcd(a: dict, b: dict) -> dict:
     # Euclid on min-exp-0 dicts; result min-exp-0 with constant term 1
     while b:
-        r = _pmod(a, b)
+        r = _pdivmod(a, b)[1]
         a, b = b, (_strip(r) if r else {})
     lo = a[min(a)]
     return {e: _div(c, lo) for e, c in a.items()}
@@ -314,8 +304,10 @@ class SignedRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _coerce_sl(num)
-        den = SignedLaurent.one() if den is None else _coerce_sl(den)
+        num = _as_sl(num)
+        den = SignedLaurent.one() if den is None else _as_sl(den)
+        if num is NotImplemented or den is NotImplemented:
+            raise TypeError("SignedRational parts must be SignedLaurent, int or Fraction")
         if den.is_zero():
             raise ZeroDivisionError("SignedRational with zero denominator")
         if num.is_zero():
@@ -328,7 +320,7 @@ class SignedRational:
             # monomial denominator: fast path, no gcd needed
             q = pn
         else:
-            g = _pgcd(dict(pn), dict(pd))
+            g = _pgcd(pn, pd)
             if len(g) > 1 or g.get(0) != 1:
                 pn = _pdivexact(pn, g)
                 pd = _pdivexact(pd, g)
@@ -442,15 +434,8 @@ class SignedRational:
         return f"({self.num!r})/({self.den!r})"
 
 
-def _coerce_sl(x) -> SignedLaurent:
-    if isinstance(x, SignedLaurent):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return SignedLaurent({0: x}) if x else SignedLaurent()
-    raise TypeError(f"cannot coerce {type(x).__name__} to SignedLaurent")
-
-
 def _coerce_sr(x):
+    """x as a SignedRational, NotImplemented for any other type."""
     if isinstance(x, SignedRational):
         return x
     if isinstance(x, (SignedLaurent, int, Fraction)):
@@ -473,8 +458,10 @@ def sr_solve_linear(matrix, rhs) -> list[SignedRational]:
         raise ValueError("matrix must be square")
     if len(rhs) != n:
         raise ValueError("rhs length must match matrix size")
-    a = [[_must_sr(x) for x in row] for row in matrix]
-    b = [_must_sr(x) for x in rhs]
+    a = [[_coerce_sr(x) for x in row] for row in matrix]
+    b = [_coerce_sr(x) for x in rhs]
+    if any(x is NotImplemented for row in (*a, b) for x in row):
+        raise TypeError("entries must be SignedRational, SignedLaurent, int or Fraction")
     perm = list(range(n))
     for col in range(n):
         piv = None
@@ -503,13 +490,6 @@ def sr_solve_linear(matrix, rhs) -> list[SignedRational]:
             acc = acc - a[prow][c] * x[c]
         x[col] = acc / a[prow][col]
     return x
-
-
-def _must_sr(x) -> SignedRational:
-    r = _coerce_sr(x)
-    if r is NotImplemented:
-        raise TypeError(f"cannot coerce {type(x).__name__} to SignedRational")
-    return r
 
 
 # ---------------------------------------------------------------------------

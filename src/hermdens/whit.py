@@ -15,10 +15,10 @@ The gram and profile factors read per-involution plans (_gram_plan,
 _profile_plan), so a term costs one walk over each plan with the exponents.
 Both density routes read the finite box of forms through one walk (_box)
 and merge its terms into sums {(N, A, B): c}.  The exact route puts a merged
-sum over one common denominator and canonicalizes once; the tails beyond
-the box are geometric, which the code checks as exponent differences before
-summing them in closed form.  The numeric route evaluates each distinct
-(N, A, B) once at s = -q.
+sum over one common denominator and canonicalizes once; the plane beyond
+the box is split into cones, each a geometric series that _cone checks as
+exponent differences before summing it in closed form.  The numeric route
+evaluates each distinct (N, A, B) once at s = -q.
 
 Derivatives are taken against the lattice scaling variable X = s^{-2r} with
 the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
@@ -334,6 +334,35 @@ def _check_contracting(rho: tuple) -> None:
         raise InvariantError(f"tail ratio does not contract: {rho!r}")
 
 
+def _cone(term, start: tuple, gens: tuple, slope: int, tails: dict, dtails: dict) -> None:
+    """Add term summed over start + a g1 (+ b g2), a, b >= 0, to tails as one series.
+
+    The step along each generator gives its ratio; one step further along
+    each generator and each pair of them must follow the ratios, and each
+    ratio must contract.  The first term goes under the key tuple(rhos),
+    times slope in dtails.  A cone that starts at zero must stay zero.
+    """
+    def at(*steps):
+        return term(tuple(map(sum, zip(start, *steps))))
+
+    first = at()
+    nexts = [at(g) for g in gens]
+    if first is None:
+        if any(tm is not None for tm in nexts):
+            raise InvariantError("tail restarts after a zero")
+        return
+    rhos = tuple(_ratio(tm, first) for tm in nexts)
+    for i, g in enumerate(gens):
+        for j in range(i, len(gens)):
+            if at(g, gens[j]) != _tmul(nexts[i], rhos[j]):
+                raise InvariantError("tail is not geometric")
+    for rho in rhos:
+        _check_contracting(rho)
+    _add(tails.setdefault(rhos, {}), 1, first)
+    if slope:
+        _add(dtails.setdefault(rhos, {}), slope, first)
+
+
 def _close(box: dict, tails: dict) -> SignedRational:
     """Exact sum of a merged box sum plus the tails.
 
@@ -378,7 +407,10 @@ def _box(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
             yield e, 2 * _min0(e), tm
 
 
-# the summed box has (2K + 1)^2 terms with K = max|e| + kink_pad
+# K = max|e| + KINK_PAD passes every kink of the piecewise terms; the
+# exact result does not depend on it (there is a test for that)
+KINK_PAD = 4
+# the summed box has (2K + 1)^2 terms
 DENSITY_MAX_EXP = 300
 # numeric sums evaluate each distinct (N, A, B) of the box at s = -q, and
 # those values grow with q; this admits every prime that verify (q <= 53)
@@ -387,14 +419,14 @@ NUMERIC_MAX_Q = 53
 
 
 @lru_cache(maxsize=None)
-def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
-                 kink_pad: int = 4):
+def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0):
     """Exact value and prime of the weighted density over all 2x2 forms.
 
     Terms vanish identically below -K and follow exact geometric
-    progressions above +K in each exponent direction, where K exceeds every
-    kink of the piecewise structure; kink_pad sets the safety margin and the
-    result does not depend on it (there is a test for that).
+    progressions above +K in each exponent direction, K = max|e| + KINK_PAD.
+    The sum is the box |m| <= K plus one _cone per strip along an axis, per
+    half quadrant (along an axis and the diagonal) and for the antidiagonal
+    forms; four probes check the vanishing below -K.
 
     Memoized for the life of the process: verify, jfun_n1 and the bridges
     ask for the same (B, h, t, r) again, and the result is an immutable pair
@@ -406,17 +438,13 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
     if top > DENSITY_MAX_EXP:
         raise BudgetError(f"exact density limited to max|e| <= {DENSITY_MAX_EXP}, got {top}")
     prof = WeightProfile(1, h, t, r)
-    K = top + kink_pad
+    K = top + KINK_PAD
 
-    # the box is visited once; the tail probes and corner walks beyond it
-    # revisit terms, so only those are memoized, per call
-    @lru_cache(maxsize=None)
-    def dterm(m1, m2):
-        return _density_term(MonomialHermitian(2, (1, 2), (m1, m2)), B, prof)
-
-    @lru_cache(maxsize=None)
-    def aterm(e):
-        return _density_term(MonomialHermitian(2, (2, 1), (e, e)), B, prof)
+    def term(pt):
+        # (m1, m2) is the diagonal form, (e,) the antidiagonal one
+        if len(pt) == 2:
+            return _density_term(MonomialHermitian(2, (1, 2), pt), B, prof)
+        return _density_term(MonomialHermitian(2, (2, 1), pt * 2), B, prof)
 
     box, dbox = {}, {}
     for _, slope, tm in _box(B, prof, -K, K):
@@ -424,51 +452,19 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0,
         _add(dbox, slope, tm)
 
     # below -K every term dies on a unit-region integral; spot check
-    for probe in (dterm(-K - 1, 0), dterm(0, -K - 1), dterm(-K - 1, K + 1),
-                  aterm(-K - 1)):
-        if probe is not None:
+    for probe in ((-K - 1, 0), (0, -K - 1), (-K - 1, K + 1), (-K - 1,)):
+        if term(probe) is not None:
             raise InvariantError("term survives below the cutoff")
 
     tails: dict = {}
     dtails: dict = {}
-
-    def strip(t1, t2, t3, slope):
-        if t1 is None:
-            if t2 is not None:
-                raise InvariantError("tail restarts after a zero")
-            return
-        rho = _ratio(t2, t1)
-        if t3 != _tmul(t2, rho):
-            raise InvariantError("tail is not geometric")
-        _check_contracting(rho)
-        _add(tails.setdefault((rho,), {}), 1, t1)
-        if slope:
-            _add(dtails.setdefault((rho,), {}), slope, t1)
-
-    for m2 in range(-K, K + 1):
-        strip(dterm(K + 1, m2), dterm(K + 2, m2), dterm(K + 3, m2), _min0(m2))
-    for m1 in range(-K, K + 1):
-        strip(dterm(m1, K + 1), dterm(m1, K + 2), dterm(m1, K + 3), _min0(m1))
-    strip(aterm(K + 1), aterm(K + 2), aterm(K + 3), 0)
-
-    def corner(i, j, di, dj):
-        # the cone from (i, j), walked along (di, dj) and along the diagonal
-        v, step, diag = dterm(i, j), dterm(i + di, j + dj), dterm(i + 1, j + 1)
-        if v is None:
-            if step is not None or diag is not None:
-                raise InvariantError("corner restarts after a zero")
-            return
-        rho, rhod = _ratio(step, v), _ratio(diag, v)
-        if (dterm(i + 2 * di, j + 2 * dj) != _tmul(step, rho)
-                or dterm(i + 1 + di, j + 1 + dj) != _tmul(diag, rho)
-                or dterm(i + 2, j + 2) != _tmul(diag, rhod)):
-            raise InvariantError("corner is not geometric")
-        _check_contracting(rho)
-        _check_contracting(rhod)
-        _add(tails.setdefault((rho, rhod), {}), 1, v)
-
-    corner(K + 1, K + 1, 1, 0)  # m1 >= m2 > K
-    corner(K + 1, K + 2, 0, 1)  # m2 > m1 > K
+    for m in range(-K, K + 1):
+        _cone(term, (K + 1, m), ((1, 0),), _min0(m), tails, dtails)
+    for m in range(-K, K + 1):
+        _cone(term, (m, K + 1), ((0, 1),), _min0(m), tails, dtails)
+    _cone(term, (K + 1,), ((1,),), 0, tails, dtails)
+    _cone(term, (K + 1, K + 1), ((1, 0), (1, 1)), 0, tails, dtails)  # m1 >= m2 > K
+    _cone(term, (K + 1, K + 2), ((0, 1), (1, 1)), 0, tails, dtails)  # m2 > m1 > K
 
     return _close(box, tails), _close(dbox, dtails)
 
@@ -490,7 +486,7 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     if q > NUMERIC_MAX_Q:
         raise BudgetError(f"numeric density limited to q <= {NUMERIC_MAX_Q}, got {q}")
     _check_prime(q)
-    K = top + 4
+    K = top + KINK_PAD
 
     inner, ring = ({}, {}), ({}, {})
     for m, slope, tm in _box(B, prof, -max(e_window + 2, K), e_window + 2):

@@ -185,6 +185,13 @@ class TestBrute:
         with pytest.raises(ValueError):
             alpha_brute((0,), (0,), 3, 1, pad=-2)
 
+    def test_empty_forms_rejected(self):
+        # an empty form is refused before min() and before any power
+        for amb, tgt in (((), (0,)), ((), ())):
+            with pytest.raises(ValueError, match="both forms must be nonempty"):
+                alpha_brute(amb, tgt, 3, 1)
+        assert alpha_brute((), (0,), 3, 1, pad=2) == Fraction(8, 9)
+
     def test_pair_budget(self):
         # every vector solves the diagonal (all values vanish mod 9): 6561^2 pairs
         with pytest.raises(BudgetError, match="checks"):

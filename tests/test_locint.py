@@ -200,3 +200,10 @@ def test_count_solutions_matches_literal_count_property(case):
 def test_count_solutions_rejects_non_involution():
     with pytest.raises(ValueError, match="involution"):
         count_solutions((1, 2, 0), (0, 0, 0), [[1]], [("O",) * 3], 3, 1)
+
+
+def test_count_solutions_rejects_unknown_region():
+    # counted as "O" above block modulus 1 and a KeyError at modulus 1 before
+    for exps, target in (((0,), [[1]]), ((1,), [[0]])):
+        with pytest.raises(ValueError, match="unknown region kind 'units'"):
+            count_solutions((0,), exps, target, [("units",)], 3, 1)

@@ -120,6 +120,22 @@ def test_solve_linear_singular_names_column():
         sr_solve_linear(M, [ONE, ONE])
 
 
+def test_coercion_rejects_other_types():
+    for bad in (1.5, "s", [1]):
+        with pytest.raises(TypeError):
+            SignedRational(bad)
+        with pytest.raises(TypeError):
+            SignedRational(ONE, bad)
+        with pytest.raises(TypeError):
+            sr_solve_linear([[ONE, bad], [ONE, S]], [ONE, ONE])
+        with pytest.raises(TypeError):
+            sr_solve_linear([[ONE]], [bad])
+    # the ring operations hand other types back to Python instead
+    assert (S == 1.5) is False and (SignedRational(S) == "s") is False
+    with pytest.raises(TypeError):
+        S + 1.5
+
+
 @settings(max_examples=25)
 @given(st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_solve_linear_random_systems(rows):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hermdens import whit
-from hermdens.errors import BudgetError
+from hermdens.errors import BudgetError, InvariantError
 from hermdens.locint import norm_integral, trace_pair_integral
 from hermdens.reps import (
     WeightProfile,
@@ -297,11 +297,13 @@ def test_density_vanishes_at_t0():
     assert value == SignedRational(0)
 
 
-def test_density_kink_pad_invariance():
-    for B, h, t, r in ((A1, 1, 1, 0), (diagonal((2, -1)), 1, 1, 0), (diagonal((0, 1)), 2, 1, 0),
-                       (A1, 1, 1, 1), (diagonal((2, -1)), 0, 1, 1), (anti(1), 1, 1, 0),
-                       (anti(0), 2, 1, 1)):
-        assert w_density_n1(B, h, t, r, kink_pad=4) == w_density_n1(B, h, t, r, kink_pad=6)
+def test_density_kink_pad_invariance(monkeypatch):
+    inputs = ((A1, 1, 1, 0), (diagonal((2, -1)), 1, 1, 0), (diagonal((0, 1)), 2, 1, 0),
+              (A1, 1, 1, 1), (diagonal((2, -1)), 0, 1, 1), (anti(1), 1, 1, 0),
+              (anti(0), 2, 1, 1))
+    at_4 = [w_density_n1.__wrapped__(*args) for args in inputs]
+    monkeypatch.setattr(whit, "KINK_PAD", 6)
+    assert [w_density_n1.__wrapped__(*args) for args in inputs] == at_4
 
 
 DENSITY_INPUTS = ((A1, 1, 1, 0), (A1, 1, 0, 0), (diagonal((2, -1)), 0, 1, 1),
@@ -364,11 +366,15 @@ import sys
 from hermdens import whit
 from hermdens.errors import InvariantError
 from hermdens.reps import diagonal
+# argv: diag|anti, a factor (0 zeroes the term), then the exponents to
+# match, "*" matching any
+sigma = (1, 2) if sys.argv[1] == "diag" else (2, 1)
+factor, pattern = int(sys.argv[2]), sys.argv[3:]
 plain = whit._density_term
 def bent(Y, B, prof):
     tm = plain(Y, B, prof)
-    if tm is not None and Y.is_diagonal() and Y.e[0] == 8:
-        tm = (2 * tm[0],) + tm[1:]
+    if tm is not None and Y.sigma == sigma and all(w in ("*", str(e)) for w, e in zip(pattern, Y.e)):
+        tm = (factor * tm[0],) + tm[1:] if factor else None
     return tm
 whit._density_term = bent
 try:
@@ -378,16 +384,48 @@ except InvariantError as exc:
 """
 
 
-@pytest.mark.parametrize("flags,optimize", [([], 0), (["-O"], 1)])
-def test_non_geometric_tail_raises(flags, optimize):
+def _run_bent(flags, *mutation):
     # in a child process, so the check is also seen with asserts stripped
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    done = subprocess.run([sys.executable, *flags, "-c", BENT_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", BENT_SCRIPT, *mutation], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == f"raised {optimize} tail is not geometric"
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("flags,optimize", [([], 0), (["-O"], 1)])
+def test_non_geometric_tail_raises(flags, optimize):
+    # the column m1 = K + 3 of diag:0,-1 (K = 5), read by every (1, 0) strip
+    assert _run_bent(flags, "diag", "2", "8", "*") == f"raised {optimize} tail is not geometric"
+
+
+# each mutation of diag:0,-1 (K = 5) is read by one kind of cone only
+CONE_MUTATIONS = {
+    "quadrant-1-far": (("diag", "2", "8", "8"), "tail is not geometric"),
+    "quadrant-1-mixed": (("diag", "2", "8", "7"), "tail is not geometric"),
+    "quadrant-2-far": (("diag", "2", "8", "9"), "tail is not geometric"),
+    "antidiagonal-far": (("anti", "2", "8", "8"), "tail is not geometric"),
+    "quadrant-start": (("diag", "0", "6", "6"), "tail restarts after a zero"),
+    "strip-start": (("diag", "0", "6", "0"), "tail restarts after a zero"),
+}
+
+
+@pytest.mark.parametrize("name", CONE_MUTATIONS)
+@pytest.mark.parametrize("flags,optimize", [([], 0), (["-O"], 1)])
+def test_mutated_cone_raises(flags, optimize, name):
+    mutation, message = CONE_MUTATIONS[name]
+    assert _run_bent(flags, *mutation) == f"raised {optimize} {message}"
+
+
+def test_cone_keys_first_term_by_its_ratios():
+    tails, dtails = {}, {}
+    whit._cone(lambda pt: (3, -pt[0] - 2 * pt[1], 0, 0), (1, 0), ((1, 0), (0, 1)), 2, tails, dtails)
+    rhos = ((1, -1, 0, 0), (1, -2, 0, 0))
+    assert tails == {rhos: {(-1, 0, 0): 3}} and dtails == {rhos: {(-1, 0, 0): 6}}
+    with pytest.raises(InvariantError, match="does not contract"):
+        whit._cone(lambda pt: (1, pt[0], 0, 0), (1,), ((1,),), 0, {}, {})
 
 
 def test_density_truncated_report():
