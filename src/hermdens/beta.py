@@ -16,7 +16,7 @@ independent check in the tests and the verify suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetError, InvariantError
 from .symb import SL_ONE, SL_ZERO, SignedRational, npq
@@ -54,13 +54,8 @@ def build_system(n: int, h: int):
     return mat, rhs
 
 
-@dataclass(frozen=True)
-class BetaSolution:
-    n: int
-    h: int
-    beta_h: tuple
-    beta_dual: tuple
-    delta: SignedRational
+# beta_h and beta_dual are tuples of n SignedRationals, delta one SignedRational
+BetaSolution = namedtuple("BetaSolution", "n h beta_h beta_dual delta")
 
 
 def solve_constants(n: int, h: int) -> BetaSolution:

@@ -14,7 +14,7 @@ same convention as the weighted densities: prime means -d/dX at X = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -353,10 +353,8 @@ def appendix_compat(n: int, b1_exps: Sequence[int]) -> dict:
 # lattice-map counting oracle
 
 
-@dataclass(frozen=True)
-class JCount:
-    count: int
-    scaled: Fraction
+# the number of maps (an int) and its normalized value (a Fraction)
+JCount = namedtuple("JCount", "count scaled")
 
 
 def jcount_oracle(l_exps: Sequence[int], m_exps: Sequence[int], p: int, d: int,

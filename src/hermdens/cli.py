@@ -11,14 +11,13 @@ Exit codes: 0 success, 1 internal failure or failed verification checks,
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from fractions import Fraction
-
-import click
 
 from . import __version__
 from .errors import BudgetError
-from .reps import MonomialHermitian, WeightProfile, parse_monomial
 from .symb import SignedLaurent, SignedRational
 
 _REGION_NAMES = {"O": "O", "unit": "O_unit", "O_unit": "O_unit",
@@ -51,9 +50,9 @@ def to_doc(x):
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
-def _attach_decimal(ctx, out: dict, at_q: int) -> None:
+def _attach_decimal(opts, out: dict, at_q: int) -> None:
     """With --decimal K, add K-digit display strings of the exact value (and derivative) at q."""
-    places = ctx.obj["decimal"]
+    places = opts.decimal
     if not places:
         return
     block = {"at_q": at_q, "note": "display only, exact fields are authoritative"}
@@ -66,95 +65,91 @@ def _attach_decimal(ctx, out: dict, at_q: int) -> None:
     out["decimal"] = block
 
 
-def _emit(ctx, doc: dict):
-    compact = ctx.obj["json"]
-    if compact:
+def _emit(opts, doc: dict):
+    if opts.json:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     else:
         text = json.dumps(doc, sort_keys=True, indent=2)
-    click.echo(text)
+    print(text)
 
 
-def _deliver(ctx, request: dict, build):
+def _deliver(opts, request: dict, build) -> int:
     """Result path shared by the compute commands: echo the request, then build."""
     doc = {"request": request}
     doc.update(build())
-    _emit(ctx, to_doc(doc))
+    _emit(opts, to_doc(doc))
+    return 0
 
 
 def _ints(text: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
-        raise click.UsageError(f"expected comma separated integers, got {text!r}")
+        raise ValueError(f"expected comma separated integers, got {text!r}") from None
 
 
-def _form(text: str) -> MonomialHermitian:
-    try:
-        return parse_monomial(text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def _form(text: str):
+    """Parse a form literal; only the commands that take one import reps."""
+    from .reps import parse_monomial
+
+    return parse_monomial(text)
 
 
-def _guard(ctx, fn):
-    """Map library errors onto the documented exit codes."""
+def _guard(fn) -> int:
+    """Run a command and map library errors onto the documented exit codes."""
     try:
         return fn()
-    except (click.ClickException, click.exceptions.Exit):
-        raise
     except BudgetError as exc:
-        click.echo(f"budget: {exc}", err=True)
-        ctx.exit(3)
+        print(f"budget: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
-        click.echo(f"invalid request: {exc}", err=True)
-        ctx.exit(2)
+        print(f"invalid request: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
-        click.echo(f"internal error: {exc}", err=True)
-        ctx.exit(1)
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 # ---------------------------------------------------------------------------
-# command group
+# commands: each takes the parsed options and returns its exit code; a
+# ValueError it raises is a bad request (exit 2)
 
-@click.group()
-@click.option("--json", "compact", is_flag=True,
-              help="Compact single-line JSON output.")
-@click.option("--decimal", type=int, default=0, metavar="K",
-              help="Attach K significant digit decimals (display only).")
-@click.version_option(version=__version__)
-@click.pass_context
-def main(ctx, compact, decimal):
-    """Exact densities, correction constants and tree intersections."""
-    if decimal < 0:
-        raise click.UsageError("--decimal must be nonnegative")
-    ctx.obj = {"json": compact, "decimal": decimal}
+_COMMANDS = []
 
 
-@main.command()
-@click.option("--kind", type=click.Choice(["norm", "trace_pair", "trace_j1"]),
-              required=True)
-@click.option("--region", "regions", multiple=True,
-              type=click.Choice(sorted(_REGION_NAMES)),
-              help="One region for norm, two for trace_pair, none for trace_j1.")
-@click.option("--e", "e", type=int, required=True)
-@click.option("--oracle", is_flag=True, help="Cross-check by direct character sums.")
-@click.option("--p", type=int, default=3, show_default=True)
-@click.option("--depth", type=int, default=None)
-@click.pass_context
-def integral(ctx, kind, regions, e, oracle, p, depth):
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+def _command(*args):
+    """Register a command with its options; the function's docstring is its help."""
+    def register(fn):
+        _COMMANDS.append((fn, args))
+        return fn
+    return register
+
+
+@_command(_arg("--kind", choices=["norm", "trace_pair", "trace_j1"], required=True),
+          _arg("--region", dest="regions", action="append", choices=sorted(_REGION_NAMES),
+               help="One region for norm, two for trace_pair, none for trace_j1."),
+          _arg("--e", type=int, required=True),
+          _arg("--oracle", action="store_true", help="Cross-check by direct character sums."),
+          _arg("--p", type=int, default=3, help="(default: %(default)s)"),
+          _arg("--depth", type=int))
+def integral(opts):
     """Entry integrals over one or two coordinate regions."""
     from .locint import charsum_oracle, norm_integral, trace_integral_J1, trace_pair_integral
 
-    regs = tuple(_REGION_NAMES[r] for r in regions)
+    kind, e, oracle, p, depth = opts.kind, opts.e, opts.oracle, opts.p, opts.depth
+    regs = tuple(_REGION_NAMES[r] for r in opts.regions or ())
     want = {"norm": 1, "trace_pair": 2, "trace_j1": 0}[kind]
     if len(regs) != want:
-        raise click.UsageError(f"kind {kind} takes exactly {want} --region options")
+        raise ValueError(f"kind {kind} takes exactly {want} --region options")
     if oracle and kind == "trace_j1":
-        raise click.UsageError("the indicator integral has no character sum oracle")
+        raise ValueError("the indicator integral has no character sum oracle")
     request = {"command": "integral", "kind": kind, "regions": list(regs), "e": e,
-               "oracle": bool(oracle), "p": p if oracle else None,
-               "depth": depth if oracle else None,
-               "decimal": ctx.obj["decimal"]}
+               "oracle": oracle, "p": p if oracle else None,
+               "depth": depth if oracle else None, "decimal": opts.decimal}
 
     def build():
         if kind == "norm":
@@ -164,7 +159,7 @@ def integral(ctx, kind, regions, e, oracle, p, depth):
         else:
             value = trace_integral_J1(e)
         out = {"value": value}
-        _attach_decimal(ctx, out, 3)
+        _attach_decimal(opts, out, 3)
         if oracle:
             d = depth if depth is not None else abs(e) + 2
             got = charsum_oracle(p, kind, regs if kind == "trace_pair" else regs[0], e, d)
@@ -172,39 +167,39 @@ def integral(ctx, kind, regions, e, oracle, p, depth):
                              "matches": got == value.evaluate(p)}
         return out
 
-    _guard(ctx, lambda: _deliver(ctx, request, build))
+    return _deliver(opts, request, build)
 
 
-@main.command()
-@click.option("--n", type=int, default=1, show_default=True)
-@click.option("--h", type=int, required=True)
-@click.option("--t", type=int, required=True)
-@click.option("--B", "b_text", required=True, metavar="FORM",
-              help="diag:e1,e2 or mono:sigma=[..];e=[..]")
-@click.option("--symbolic", is_flag=True)
-@click.option("--q", type=int, default=None)
-@click.option("--emin", type=int, default=None)
-@click.option("--emax", type=int, default=None)
-@click.option("--r", type=int, default=0, show_default=True,
-              help="Lattice scaling exponent.")
-@click.option("--derivative", is_flag=True)
-@click.pass_context
-def wdens(ctx, n, h, t, b_text, symbolic, q, emin, emax, r, derivative):
+@_command(_arg("--n", type=int, default=1, help="(default: %(default)s)"),
+          _arg("--h", type=int, required=True),
+          _arg("--t", type=int, required=True),
+          _arg("--B", dest="b_text", required=True, metavar="FORM",
+               help="diag:e1,e2 or mono:sigma=[..];e=[..]"),
+          _arg("--symbolic", action="store_true"),
+          _arg("--q", type=int),
+          _arg("--emin", type=int),
+          _arg("--emax", type=int),
+          _arg("--r", type=int, default=0, help="Lattice scaling exponent. (default: %(default)s)"),
+          _arg("--derivative", action="store_true"))
+def wdens(opts):
     """Weighted density of a rank one form, exact or truncated numeric."""
+    from .reps import WeightProfile
     from .whit import w_density_n1, w_density_truncated
 
+    n, h, t, b_text, symbolic = opts.n, opts.h, opts.t, opts.b_text, opts.symbolic
+    q, emin, emax, r, derivative = opts.q, opts.emin, opts.emax, opts.r, opts.derivative
     if n != 1:
-        raise click.UsageError("only n=1 carries the summed density")
+        raise ValueError("only n=1 carries the summed density")
     numeric = q is not None or emin is not None or emax is not None
     if symbolic == numeric:
-        raise click.UsageError("choose either --symbolic or --q with --emin/--emax")
+        raise ValueError("choose either --symbolic or --q with --emin/--emax")
     if numeric and (q is None or emin is None or emax is None):
-        raise click.UsageError("numeric mode needs --q, --emin and --emax")
+        raise ValueError("numeric mode needs --q, --emin and --emax")
     B = _form(b_text)
     mode = "symbolic" if symbolic else "numeric"
     request = {"command": "wdens", "n": n, "h": h, "t": t, "B": b_text.strip(),
                "mode": mode, "q": q, "emin": emin, "emax": emax, "r": r,
-               "derivative": bool(derivative), "decimal": ctx.obj["decimal"]}
+               "derivative": derivative, "decimal": opts.decimal}
 
     def build():
         if symbolic:
@@ -212,41 +207,38 @@ def wdens(ctx, n, h, t, b_text, symbolic, q, emin, emax, r, derivative):
             out = {"value": value}
             if derivative:
                 out["derivative"] = prime
-            _attach_decimal(ctx, out, 3)
+            _attach_decimal(opts, out, 3)
             return out
         window = max(abs(emin), abs(emax))
         got = w_density_truncated(B, WeightProfile(1, h, t, r), q, window)
         out = {"value": got["value"], "tail_report": got["tail_report"]}
         if derivative:
             out["derivative"] = got["derivative"]
-        _attach_decimal(ctx, out, q)
+        _attach_decimal(opts, out, q)
         return out
 
-    _guard(ctx, lambda: _deliver(ctx, request, build))
+    return _deliver(opts, request, build)
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--h", type=int, required=True)
-@click.option("--closed", is_flag=True,
-              help="Compare the top constant against its closed form (h = n-1).")
-@click.option("--verify", "check", is_flag=True,
-              help="Check the derivative correction identity on --B.")
-@click.option("--B", "b_text", default=None, metavar="FORM")
-@click.option("--q", type=int, default=None,
-              help="Also evaluate both identity sides at this prime.")
-@click.pass_context
-def beta(ctx, n, h, closed, check, b_text, q):
+@_command(_arg("--n", type=int, required=True),
+          _arg("--h", type=int, required=True),
+          _arg("--closed", action="store_true",
+               help="Compare the top constant against its closed form (h = n-1)."),
+          _arg("--verify", dest="check", action="store_true",
+               help="Check the derivative correction identity on --B."),
+          _arg("--B", dest="b_text", metavar="FORM"),
+          _arg("--q", type=int, help="Also evaluate both identity sides at this prime."))
+def beta(opts):
     """Correction constants from the exact linear system."""
     from .beta import beta_closed_last, solve_constants, verify_thm314
 
+    n, h, closed, check, b_text, q = opts.n, opts.h, opts.closed, opts.check, opts.b_text, opts.q
     if closed and h != n - 1:
-        raise click.UsageError("--closed applies to the h = n-1 system")
+        raise ValueError("--closed applies to the h = n-1 system")
     if check and (n != 1 or b_text is None):
-        raise click.UsageError("--verify needs n=1 and a --B form")
-    request = {"command": "beta", "n": n, "h": h, "closed": bool(closed),
-               "verify": bool(check), "B": b_text, "q": q,
-               "decimal": ctx.obj["decimal"]}
+        raise ValueError("--verify needs n=1 and a --B form")
+    request = {"command": "beta", "n": n, "h": h, "closed": closed,
+               "verify": check, "B": b_text, "q": q, "decimal": opts.decimal}
 
     def build():
         sol = solve_constants(n, h)
@@ -265,32 +257,32 @@ def beta(ctx, n, h, closed, check, b_text, q):
             out["identity"] = block
         return out
 
-    _guard(ctx, lambda: _deliver(ctx, request, build))
+    return _deliver(opts, request, build)
 
 
-@main.command()
-@click.option("--xi", required=True, metavar="E1,E2,..",
-              help="Ambient diagonal exponents, sorted decreasing.")
-@click.option("--lam", required=True, metavar="E1,E2,..",
-              help="Target diagonal exponents, sorted decreasing.")
-@click.option("--prime", "with_prime", is_flag=True)
-@click.option("--pad", type=int, default=0, show_default=True,
-              help="Even number of unimodular slots appended to the ambient form.")
-@click.option("--brute", is_flag=True, help="Corroborate by direct counting.")
-@click.option("--q", type=int, default=3, show_default=True)
-@click.option("--d", type=int, default=2, show_default=True)
-@click.pass_context
-def alpha(ctx, xi, lam, with_prime, pad, brute, q, d):
+@_command(_arg("--xi", required=True, metavar="E1,E2,..",
+               help="Ambient diagonal exponents, sorted decreasing."),
+          _arg("--lam", required=True, metavar="E1,E2,..",
+               help="Target diagonal exponents, sorted decreasing."),
+          _arg("--prime", dest="with_prime", action="store_true"),
+          _arg("--pad", type=int, default=0,
+               help="Even number of unimodular slots appended to the ambient form. "
+                    "(default: %(default)s)"),
+          _arg("--brute", action="store_true", help="Corroborate by direct counting."),
+          _arg("--q", type=int, default=3, help="(default: %(default)s)"),
+          _arg("--d", type=int, default=2, help="(default: %(default)s)"))
+def alpha(opts):
     """Classical density of one diagonal form in another."""
     from .cdens import alpha_brute, alpha_prime, alpha_value, hironaka_coeffs
 
+    with_prime, pad, brute, q, d = opts.with_prime, opts.pad, opts.brute, opts.q, opts.d
     if pad % 2 or pad < 0:
-        raise click.UsageError("--pad must be an even nonnegative count")
-    xi_t, lam_t = _ints(xi), _ints(lam)
+        raise ValueError("--pad must be an even nonnegative count")
+    xi_t, lam_t = _ints(opts.xi), _ints(opts.lam)
     request = {"command": "alpha", "xi": list(xi_t), "lam": list(lam_t),
-               "prime": bool(with_prime), "pad": pad, "brute": bool(brute),
+               "prime": with_prime, "pad": pad, "brute": brute,
                "q": q if brute else None, "d": d if brute else None,
-               "decimal": ctx.obj["decimal"]}
+               "decimal": opts.decimal}
 
     def build():
         coeffs = hironaka_coeffs(xi_t, lam_t)
@@ -298,76 +290,63 @@ def alpha(ctx, xi, lam, with_prime, pad, brute, q, d):
         out = {"coefficients": list(coeffs), "value": value}
         if with_prime:
             out["prime"] = alpha_prime(coeffs)
-        _attach_decimal(ctx, out, 3)
+        _attach_decimal(opts, out, 3)
         if brute:
             counted = alpha_brute(xi_t, lam_t, q, d, pad=pad)
             out["brute"] = {"p": q, "d": d, "value": counted,
                             "matches": counted == value.evaluate(q)}
         return out
 
-    _guard(ctx, lambda: _deliver(ctx, request, build))
+    return _deliver(opts, request, build)
 
 
-@main.command()
-@click.option("--t", type=int, required=True)
-@click.option("--B", "b_text", required=True, metavar="FORM")
-@click.pass_context
-def jfun(ctx, t, b_text):
+@_command(_arg("--t", type=int, required=True),
+          _arg("--B", dest="b_text", required=True, metavar="FORM"))
+def jfun(opts):
     """Normalized derivative functional of a rank one form."""
     from .cdens import jfun_n1
 
+    t, b_text = opts.t, opts.b_text
     B = _form(b_text)
-    request = {"command": "jfun", "t": t, "B": b_text.strip(),
-               "decimal": ctx.obj["decimal"]}
+    request = {"command": "jfun", "t": t, "B": b_text.strip(), "decimal": opts.decimal}
 
     def build():
-        value = jfun_n1(t, B)
-        out = {"value": value}
-        _attach_decimal(ctx, out, 3)
+        out = {"value": jfun_n1(t, B)}
+        _attach_decimal(opts, out, 3)
         return out
 
-    _guard(ctx, lambda: _deliver(ctx, request, build))
+    return _deliver(opts, request, build)
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--B1", "b1", required=True, metavar="E1,..,E(N+1)",
-              help="Diagonal exponents of the top block, nonnegative.")
-@click.pass_context
-def appendix(ctx, n, b1):
+@_command(_arg("--n", type=int, required=True),
+          _arg("--B1", dest="b1", required=True, metavar="E1,..,E(N+1)",
+               help="Diagonal exponents of the top block, nonnegative."))
+def appendix(opts):
     """Bottom-rank compatibility identity on split forms."""
     from .cdens import appendix_compat
 
-    exps = _ints(b1)
-    request = {"command": "appendix", "n": n, "B1": list(exps),
-               "decimal": ctx.obj["decimal"]}
-
-    def build():
-        return appendix_compat(n, exps)
-
-    _guard(ctx, lambda: _deliver(ctx, request, build))
+    n, exps = opts.n, _ints(opts.b1)
+    request = {"command": "appendix", "n": n, "B1": list(exps), "decimal": opts.decimal}
+    return _deliver(opts, request, lambda: appendix_compat(n, exps))
 
 
-@main.command()
-@click.option("--q", type=int, required=True)
-@click.option("--mx", type=int, required=True)
-@click.option("--my", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--vdet", type=int, default=None,
-              help="Determinant valuation; inferred in the overlapping case.")
-@click.option("--per-f", "per_f", is_flag=True,
-              help="Split the vertical pairing by bucket.")
-@click.pass_context
-def tree(ctx, q, mx, my, d, vdet, per_f):
+@_command(_arg("--q", type=int, required=True),
+          _arg("--mx", type=int, required=True),
+          _arg("--my", type=int, required=True),
+          _arg("--d", type=int, required=True),
+          _arg("--vdet", type=int, help="Determinant valuation; inferred in the overlapping case."),
+          _arg("--per-f", dest="per_f", action="store_true",
+               help="Split the vertical pairing by bucket."))
+def tree(opts):
     """Intersection number of the two-ball configuration."""
     from .tree import TreeInstance, fk_buckets, intersect_zy
 
+    q, mx, my, d, vdet, per_f = opts.q, opts.mx, opts.my, opts.d, opts.vdet, opts.per_f
     request = {"command": "tree", "q": q, "mx": mx, "my": my, "d": d,
-               "vdet": vdet, "per_f": bool(per_f), "decimal": ctx.obj["decimal"]}
+               "vdet": vdet, "per_f": per_f, "decimal": opts.decimal}
 
     def build():
-        inst = TreeInstance(q, mx, my, d) if vdet is None \
-            else TreeInstance(q, mx, my, d, vdet=vdet)
+        inst = TreeInstance(q, mx, my, d) if vdet is None else TreeInstance(q, mx, my, d, vdet)
         res = intersect_zy(inst)
         out = {"case": res["case"], "r": inst.r, "vdet": inst.vdet,
                "intersection": res["total"]}
@@ -379,34 +358,64 @@ def tree(ctx, q, mx, my, d, vdet, per_f):
             out["f_components"] = {str(k): v for k, v in sorted(buckets.items())}
         return out
 
-    _guard(ctx, lambda: _deliver(ctx, request, build))
+    return _deliver(opts, request, build)
 
 
-@main.command()
-@click.option("--suite", required=True, metavar="NAME")
-@click.option("--q", type=int, default=3, show_default=True)
-@click.pass_context
-def verify(ctx, suite, q):
+@_command(_arg("--suite", required=True, metavar="NAME"),
+          _arg("--q", type=int, default=3, help="(default: %(default)s)"))
+def verify(opts):
     """Run an identity suite and report each check."""
     from .verify import run_suite
 
-    def run():
-        report = run_suite(suite, q=q)
-        if ctx.obj["json"]:
-            _emit(ctx, to_doc(report))
-        else:
-            for c in report["checks"]:
-                line = f"[{c['status']:4s}] {c['anchor']:32s} {c['id']} ({c['elapsed']:.3f}s)"
-                if c["status"] != "pass":
-                    line += f"\n       lhs={c['lhs']}\n       rhs={c['rhs']}"
-                click.echo(line)
-            click.echo(f"suite {report['suite']}: {report['passed']} passed, "
-                       f"{report['failed']} failed ({report['elapsed']:.2f}s)")
-        if report["failed"]:
-            ctx.exit(1)
+    report = run_suite(opts.suite, q=opts.q)
+    if opts.json:
+        _emit(opts, to_doc(report))
+    else:
+        for c in report["checks"]:
+            line = f"[{c['status']:4s}] {c['anchor']:32s} {c['id']} ({c['elapsed']:.3f}s)"
+            if c["status"] != "pass":
+                line += f"\n       lhs={c['lhs']}\n       rhs={c['rhs']}"
+            print(line)
+        print(f"suite {report['suite']}: {report['passed']} passed, "
+              f"{report['failed']} failed ({report['elapsed']:.2f}s)")
+    return 1 if report["failed"] else 0
 
-    _guard(ctx, run)
+
+# ---------------------------------------------------------------------------
+# entry point
+
+
+def _parser(prog: str | None) -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: an option prefix such as --sym is an error
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Exact densities, correction constants and tree intersections.")
+    parser.add_argument("--json", action="store_true", help="Compact single-line JSON output.")
+    parser.add_argument("--decimal", type=int, default=0, metavar="K",
+                        help="Attach K significant digit decimals (display only).")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
+                                     required=True)
+    for fn, args in _COMMANDS:
+        sub = commands.add_parser(fn.__name__, help=fn.__doc__, description=fn.__doc__,
+                                  allow_abbrev=False)
+        for flags, kw in args:
+            sub.add_argument(*flags, **kw)
+        sub.set_defaults(run=fn)
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Parse the command line, run the command and exit with its code.
+
+    Global options go before the command name.  A usage error exits 2.
+    """
+    parser = _parser(prog_name)
+    opts = parser.parse_args(args)
+    if opts.decimal < 0:
+        parser.error("--decimal must be nonnegative")
+    sys.exit(_guard(lambda: opts.run(opts)))
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m hermdens.cli")

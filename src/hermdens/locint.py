@@ -310,9 +310,11 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
 
     O_E = Z_p[w] with w^2 a nonresidue.  A is the monomial form with
     p^exps[j] in row sigma[j], column j (rows counted from 0), sigma an
-    involution of range(m) (ValueError otherwise), target a matrix of
+    involution of range(m) (ValueError otherwise), target a k x k matrix of
     rational integers, and coordinate j of v_i ranges over regions[i][j],
-    one of "O", "O_unit", "piO" (ValueError otherwise).  Values are
+    one of "O", "O_unit", "piO" (ValueError otherwise).  A shape that does
+    not match (exps or a region tuple not of length m, target not k x k)
+    raises ValueError before any work.  Values are
     compared as (re, im) mod p^d, so A need not be hermitian.
 
     The blocks are the orbits of sigma: a fixed point or a 2-cycle.  The
@@ -334,14 +336,19 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     k = len(regions)
     if k not in (1, 2):
         raise ValueError(f"count_solutions takes 1 or 2 vectors, got {k}")
+    sigma = tuple(sigma)
+    m = len(sigma)
+    if len(exps) != m or any(len(reg) != m for reg in regions):
+        raise ValueError(f"a form of size {m} needs {m} exponents and {m} regions per vector")
+    if len(target) != k or any(len(row) != k for row in target):
+        raise ValueError(f"the target of {k} vectors must be {k}x{k}")
     for reg in regions:
         for kind in reg:
             _check_region(kind)
     if d < 1:
         raise ValueError(f"counting depth must be at least 1, got d={d}")
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(len(sigma))) or any(sigma[s] != j for j, s in enumerate(sigma)):
-        raise ValueError(f"sigma must be an involution of range({len(sigma)}), got {sigma}")
+    if sorted(sigma) != list(range(m)) or any(sigma[s] != j for j, s in enumerate(sigma)):
+        raise ValueError(f"sigma must be an involution of range({m}), got {sigma}")
     P = p ** d
     c = _nonresidue(p)
     a = [pow(p, e, P) for e in exps]

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InvariantError
 
 
-@dataclass(frozen=True)
-class MonomialHermitian:
-    size: int
-    sigma: tuple  # images, sigma[i-1] = sigma(i)
-    e: tuple      # exponents, e[i-1] = e_i
+class MonomialHermitian(namedtuple("MonomialHermitian", "size sigma e")):
+    """Images sigma[i-1] = sigma(i) and exponents e[i-1] = e_i of a form of this size."""
+
+    __slots__ = ()
 
     def sigma_of(self, i: int) -> int:
         return self.sigma[i - 1]
@@ -138,26 +137,17 @@ def _sorted_involutions(size: int):
 # index classes
 
 
-@dataclass(frozen=True)
-class IndexClasses:
+class IndexClasses(namedtuple("IndexClasses", "a1 a2 b1 b2 c1 c2 frak_a frak_c xi")):
     """Partition of {1..2n} relative to the block cut at 2n-h.
 
     a1/a2: top indices with sigma staying in the top block (fixed / moved),
     b1/b2: indices whose orbit crosses the cut (top side / bottom side),
     c1/c2: bottom indices with sigma staying in the bottom block.
     frak_a counts a-indices with e <= -1, frak_c counts c-indices with
-    e <= 0, xi = |b1| = |b2|.
+    e <= 0, xi = |b1| = |b2|.  The six classes are frozensets.
     """
 
-    a1: frozenset
-    a2: frozenset
-    b1: frozenset
-    b2: frozenset
-    c1: frozenset
-    c2: frozenset
-    frak_a: int = field(default=0)
-    frak_c: int = field(default=0)
-    xi: int = field(default=0)
+    __slots__ = ()
 
 
 def classify(Y: MonomialHermitian, h: int) -> IndexClasses:
@@ -258,21 +248,18 @@ def is_in_Rh(B: MonomialHermitian, h: int):
     return True, s
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(namedtuple("WeightProfile", "n h t r")):
     """Parameters (n, h, t, r) of a weighted density computation."""
 
-    n: int
-    h: int
-    t: int
-    r: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if not 0 <= self.h <= 2 * self.n:
-            raise ValueError(f"need 0 <= h <= 2n, got h={self.h}, n={self.n}")
-        if not 0 <= self.t <= self.n:
-            raise ValueError(f"need 0 <= t <= n, got t={self.t}, n={self.n}")
-        if self.r < 0:
-            raise ValueError(f"need r >= 0, got {self.r}")
+    def __new__(cls, n: int, h: int, t: int, r: int = 0):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        if not 0 <= h <= 2 * n:
+            raise ValueError(f"need 0 <= h <= 2n, got h={h}, n={n}")
+        if not 0 <= t <= n:
+            raise ValueError(f"need 0 <= t <= n, got t={t}, n={n}")
+        if r < 0:
+            raise ValueError(f"need r >= 0, got {r}")
+        return super().__new__(cls, n, h, t, r)

@@ -30,6 +30,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import BudgetError
+
+# a term c s^e at s = -q is a number of about |e| log2(q) bits; evaluate
+# refuses a polynomial with a term over this size before it builds any power.
+# verify at q = 3, 5, 7 and the tests need under 50 bits; at the limit a
+# thousand terms evaluate in about 0.1 s
+EVAL_MAX_BITS = 1 << 14
+
 
 class SignedLaurent:
     """Laurent polynomial in s: maps exponent -> nonzero int or Fraction."""
@@ -180,10 +188,15 @@ class SignedLaurent:
     # -- evaluation and IO ----------------------------------------------
 
     def evaluate(self, q) -> Fraction:
-        """Substitute s = -q."""
+        """Substitute s = -q; BudgetError when a term would exceed EVAL_MAX_BITS."""
         s = -Fraction(q)
         if s == 0:
             raise ValueError("cannot evaluate at q = 0")
+        if self.coeffs:
+            bits = max(map(abs, self.coeffs)) * max(abs(s.numerator), s.denominator).bit_length()
+            if bits > EVAL_MAX_BITS:
+                raise BudgetError(f"evaluation limited to {EVAL_MAX_BITS}-bit terms, "
+                                  f"got about {bits} bits")
         total = _F0
         for e, c in self.coeffs.items():
             total += c * s ** e

@@ -10,7 +10,7 @@ determinant valuation of the underlying pair of vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator
 
@@ -21,32 +21,32 @@ TREE_MAX_RADIUS = 500
 TREE_MAX_Q = 2 ** 31
 
 
-@dataclass(frozen=True)
-class TreeInstance:
-    q: int
-    m_x: int
-    m_y: int
-    d: int
-    vdet: int = -1  # -1 means derive from the ball data
+class TreeInstance(namedtuple("TreeInstance", "q m_x m_y d vdet")):
+    """Two balls of radii m_x, m_y at distance d on the (q+1)-regular tree."""
 
-    def __post_init__(self):
-        if max(self.m_x, self.m_y, self.d) > TREE_MAX_RADIUS or self.q > TREE_MAX_Q:
+    __slots__ = ()
+
+    def __new__(cls, q: int, m_x: int, m_y: int, d: int, vdet: int = -1):
+        # vdet = -1 means derive it from the ball data
+        if max(m_x, m_y, d) > TREE_MAX_RADIUS or q > TREE_MAX_Q:
             raise BudgetError(f"tree instances take radii and distance <= {TREE_MAX_RADIUS} "
                               f"and q <= {TREE_MAX_Q}")
-        if self.q < 2:
+        if q < 2:
             raise ValueError("q must be at least 2")
-        if self.m_x < 0 or self.m_y < 0 or self.d < 0:
+        if m_x < 0 or m_y < 0 or d < 0:
             raise ValueError("radii and distance must be nonnegative")
-        if (self.d - self.m_x - self.m_y) % 2:
+        if (d - m_x - m_y) % 2:
             raise ValueError("distance parity must match m_x + m_y")
-        if self.d > self.m_x + self.m_y:
+        if d > m_x + m_y:
             raise ValueError("balls must overlap: d <= m_x + m_y")
-        if self.vdet == -1:
-            object.__setattr__(self, "vdet", self.m_x + self.m_y - self.d)
-        if self.vdet < 0 or self.vdet % 2:
+        if vdet == -1:
+            vdet = m_x + m_y - d
+        if vdet < 0 or vdet % 2:
             raise ValueError("determinant valuation must be even and nonnegative")
-        if self.case == 3 and self.vdet != self.m_x + self.m_y - self.d:
+        inst = super().__new__(cls, q, m_x, m_y, d, vdet)
+        if inst.case == 3 and vdet != m_x + m_y - d:
             raise ValueError("overlapping balls force vdet = m_x + m_y - d")
+        return inst
 
     @property
     def case(self) -> int:
@@ -61,13 +61,9 @@ class TreeInstance:
         return min((self.m_x + self.m_y - self.d) // 2, self.m_x, self.m_y + 1)
 
 
-@dataclass(frozen=True)
-class VertexClass:
-    u: int       # geodesic position, 0 at the x-center
-    t_off: int   # branch depth off the geodesic
-    count: int
-    d1: int
-    d2: int
+# u: geodesic position, 0 at the x-center; t_off: branch depth off the
+# geodesic; count: vertices in the class; d1, d2: distances to the two centers
+VertexClass = namedtuple("VertexClass", "u t_off count d1 d2")
 
 
 def mult_m(m_c: int, dist: int) -> int:

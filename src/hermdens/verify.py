@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -68,19 +67,10 @@ from .whit import (
 A1 = diagonal((0, -1))
 
 
-@dataclass
-class Check:
-    id: str
-    anchor: str
-    status: str
-    lhs: str
-    rhs: str
-    elapsed: float
-
-
 class Recorder:
     def __init__(self):
-        self.checks: list[Check] = []
+        # one dict per check: id, anchor, status, lhs, rhs, elapsed
+        self.checks: list[dict] = []
 
     def _record(self, cid: str, anchor: str, judge):
         """judge returns (passed, lhs, rhs); a budget or invariant error fails the check."""
@@ -90,8 +80,9 @@ class Recorder:
         except (BudgetError, InvariantError) as exc:
             passed, lhs, rhs = False, f"{type(exc).__name__}: {exc}", "no error"
         el = time.perf_counter() - t0
-        self.checks.append(Check(cid, anchor, "pass" if passed else "fail",
-                                 str(lhs), str(rhs), round(el, 6)))
+        self.checks.append({"id": cid, "anchor": anchor,
+                            "status": "pass" if passed else "fail",
+                            "lhs": str(lhs), "rhs": str(rhs), "elapsed": round(el, 6)})
 
     def equal(self, cid: str, anchor: str, fn):
         """fn returns (lhs, rhs); pass means exact equality."""
@@ -539,11 +530,11 @@ def run_suite(name: str, q: int = 3) -> dict:
     for t in targets:
         SUITES[t](rec, q)
     elapsed = time.perf_counter() - t0
-    failed = sum(1 for c in rec.checks if c.status != "pass")
+    failed = sum(1 for c in rec.checks if c["status"] != "pass")
     return {
         "suite": canonical,
         "q": q,
-        "checks": [asdict(c) for c in rec.checks],
+        "checks": rec.checks,
         "passed": len(rec.checks) - failed,
         "failed": failed,
         "elapsed": round(elapsed, 6),

@@ -1,22 +1,42 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from hermdens import verify
 from hermdens.cli import main
 from hermdens.errors import BudgetError, InvariantError
 from hermdens.locint import ORACLE_MAX_POINTS
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_main(args):
+    """Run the command line in process: its exit code and captured stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # main ends in sys.exit on every path, success included
+        with pytest.raises(SystemExit) as exited:
+            main(args)
+    return SimpleNamespace(exit_code=exited.value.code, stdout=out.getvalue(),
+                           stderr=err.getvalue())
+
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return run_main
 
 
-def invoke(runner, args, **kw):
-    return runner.invoke(main, args, catch_exceptions=False, **kw)
+def invoke(runner, args):
+    return runner(args)
 
 
 def out_json(result):
@@ -373,3 +393,80 @@ class TestGlobalOptions:
         res = invoke(runner, args)
         assert res.exit_code == 0
         assert res.stdout == plain.stdout
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize("args", [
+        ["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1", "--sym"],  # option prefix
+        ["--js", "jfun", "--t", "1", "--B", "diag:0,0"],
+        ["jfun", "--t", "1", "--B", "diag:0,0", "--json"],  # global option after the command
+        [],
+        ["--json"],
+        ["--decimal", "-1", "jfun", "--t", "1", "--B", "diag:0,0"],
+        ["alpha", "--xi", "-1,0", "--lam", "0"],
+        ["integral", "--kind", "norm", "--region", "units", "--e", "0"],
+        ["tree", "--q", "three", "--mx", "3", "--my", "2", "--d", "1"],
+    ])
+    def test_usage_errors_exit_two(self, runner, args):
+        res = invoke(runner, args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    def test_region_repeats(self, runner):
+        res = invoke(runner, ["integral", "--kind", "trace_pair", "--region", "O",
+                              "--region", "unit", "--e", "2"])
+        assert res.exit_code == 0
+        assert out_json(res)["request"]["regions"] == ["O", "O_unit"]
+
+    @pytest.mark.parametrize("args", [
+        ["--decimal", "4", "integral", "--kind", "norm", "--region", "O", "--e", "-100000000000"],
+        ["--decimal", "4", "alpha", "--xi", "0", "--lam", "0", "--pad", "100000000"],
+        ["--decimal", "4", "wdens", "--B", "diag:0,-1", "--h", "1", "--t", "1",
+         "--symbolic", "--r", "100000000"],
+    ])
+    def test_decimal_evaluation_budget(self, runner, args):
+        # symb.EVAL_MAX_BITS is checked before any power of q is built
+        t0 = time.perf_counter()
+        res = invoke(runner, args)
+        assert time.perf_counter() - t0 < 2
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert "evaluation limited" in res.stderr
+
+
+def run_child(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestStartup:
+    def test_import_skips_click_dataclasses_inspect(self):
+        done = run_child("-c", "import sys; before = set(sys.modules); "
+                               "import hermdens.cli, hermdens.verify; "
+                               "print(sorted({'click', 'dataclasses', 'inspect'} "
+                               "& (set(sys.modules) - before)))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_formless_commands_skip_reps(self):
+        code = ("import contextlib, io, sys\n"
+                "from hermdens.cli import main\n"
+                "for args in (['integral', '--kind', 'norm', '--region', 'O', '--e', '-1'],\n"
+                "             ['tree', '--q', '3', '--mx', '3', '--my', '2', '--d', '1'],\n"
+                "             ['beta', '--n', '2', '--h', '1', '--closed']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        try:\n"
+                "            main(args)\n"
+                "        except SystemExit as exc:\n"
+                "            assert exc.code == 0, args\n"
+                "print('hermdens.reps' in sys.modules)\n")
+        done = run_child("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    def test_version_under_dash_m(self):
+        done = run_child("-m", "hermdens.cli", "--version")
+        assert done.returncode == 0
+        assert done.stdout == "python -m hermdens.cli, version 0.1.0\n"

@@ -202,6 +202,17 @@ def test_count_solutions_rejects_non_involution():
         count_solutions((1, 2, 0), (0, 0, 0), [[1]], [("O",) * 3], 3, 1)
 
 
+@pytest.mark.parametrize("case", [
+    ((0, 1), (0, 0), [[1]], [("O",)], 3, 1),             # region tuple shorter than the form
+    ((0,), (0,), [[1]], [("O", "O")], 3, 1),             # longer: was cut and counted
+    ((0,), (0,), [[1, 0]], [("O",), ("O",)], 3, 1),      # 1x2 target for two vectors
+    ((0,), (0, 0), [[1]], [("O",)], 3, 1),               # more exponents than coordinates
+])
+def test_count_solutions_rejects_shape_mismatch(case):
+    with pytest.raises(ValueError, match="size|target"):
+        count_solutions(*case)
+
+
 def test_count_solutions_rejects_unknown_region():
     # counted as "O" above block modulus 1 and a KeyError at modulus 1 before
     for exps, target in (((0,), [[1]]), ((1,), [[0]])):

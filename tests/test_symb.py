@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermdens.errors import BudgetError
 from hermdens.symb import (
+    EVAL_MAX_BITS,
     SignedLaurent,
     SignedRational,
     npq,
@@ -25,6 +27,17 @@ def test_zero_coefficients_dropped():
     p = SignedLaurent({2: Fraction(0), 1: 3, -4: Fraction(1, 2), 0: 0})
     assert set(p.coeffs) == {1, -4}
     assert SignedLaurent({0: 0}).is_zero()
+
+
+def test_evaluation_size_budget():
+    # |e| * bit_length(q) at the limit evaluates; one exponent step more is refused
+    top = EVAL_MAX_BITS // 2
+    assert qpow(-top).evaluate(3) == Fraction(1, 3 ** top)
+    for big in (npq(top + 1), npq(-top - 1) + 1, SignedRational(ONE, npq(top + 1) + 1)):
+        with pytest.raises(BudgetError, match="evaluation limited"):
+            big.evaluate(3)
+    with pytest.raises(BudgetError):
+        npq(2).evaluate(2 ** EVAL_MAX_BITS)
 
 
 def test_monomial_and_range():
