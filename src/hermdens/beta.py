@@ -140,10 +140,13 @@ def verify_thm314(B, h: int) -> dict:
     Needs B in the h-shape so the vee dual exists.
     """
     from .reps import dual_vee
-    from .whit import w_density_n1
+    from .whit import _density_top, w_density_n1
 
     sol = solve_constants(1, h)
     Bd = dual_vee(B, h)
+    # the dual's exponents can exceed B's: refuse either before the first density
+    _density_top(B)
+    _density_top(Bd)
     w_h1, w_h1p = w_density_n1(B, h, 1)
     w_d1, w_d1p = w_density_n1(Bd, 2 - h, 1)
     w_h0, _ = w_density_n1(B, h, 0)

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_solutions
-from .symb import SL_ONE, SR_ONE, SR_ZERO, SignedRational, npq, qpow
+from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, npq, qpow
 
 
 def _check_partition(parts: Sequence[int], what: str) -> tuple[int, ...]:
@@ -78,20 +78,21 @@ def _count_subpartitions(bound: Sequence[int]) -> int:
     return sum(ways)
 
 
+def _unit_prod(shifts) -> SignedLaurent:
+    """prod (1 - s^-l) over the shifts l, as one Laurent polynomial."""
+    prod = SL_ONE
+    for l in shifts:
+        prod = prod * (SL_ONE - npq(-l))
+    return prod
+
+
 @lru_cache(maxsize=None)
 def gauss_bracket(u: int, v: int) -> SignedRational:
     """Product-form binomial built from (1 - s^-i) factors; zero outside 0<=v<=u."""
     if v < 0 or v > u:
         return SR_ZERO
-    num = SL_ONE
-    for i in range(1, u + 1):
-        num = num * (SL_ONE - npq(-i))
-    den = SL_ONE
-    for i in range(1, v + 1):
-        den = den * (SL_ONE - npq(-i))
-    for i in range(1, u - v + 1):
-        den = den * (SL_ONE - npq(-i))
-    return SignedRational(num, den)
+    return SignedRational(_unit_prod(range(1, u + 1)),
+                          _unit_prod(range(1, v + 1)) * _unit_prod(range(1, u - v + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -180,10 +181,7 @@ def alpha_diag_unimodular(k: int, m: int, n: int) -> SignedRational:
     if not (0 <= k <= m and 1 <= n <= m):
         raise ValueError(f"need 0 <= k <= m and 1 <= n <= m, got {(k, m, n)}")
     r = m - n
-    prod = SR_ONE
-    for l in range(1, n + 1):
-        prod = prod * SignedRational(SL_ONE - npq(-l + k - r))
-    return prod
+    return SignedRational(_unit_prod(range(1 - k + r, n + 1 - k + r)))
 
 
 def prop_a5_value(n: int, target_size: int) -> SignedRational:
@@ -194,10 +192,7 @@ def prop_a5_value(n: int, target_size: int) -> SignedRational:
         shifts = range(2, n + 1)
     else:
         raise ValueError("target size must be n or n-1")
-    prod = SR_ONE
-    for l in shifts:
-        prod = prod * SignedRational(SL_ONE - npq(-l))
-    return prod
+    return SignedRational(_unit_prod(shifts))
 
 
 def san_alpha2(a: int, b: int) -> SignedRational:
@@ -317,28 +312,23 @@ def appendix_compat(n: int, b1_exps: Sequence[int]) -> dict:
     if len(b1) != n + 1:
         raise ValueError(f"top block must have size n+1 = {n + 1}")
 
-    def unit_prod(shifts) -> SignedRational:
-        prod = SR_ONE
-        for l in shifts:
-            prod = prod * SignedRational(SL_ONE - npq(-l))
-        return prod
-
     q_m4nn = SignedRational(qpow(-4 * n * n))
     xi_mixed = _check_partition((1,) + (0,) * n, "xi")
     al_top = alpha_value(hironaka_coeffs(((0,) * (n + 1)), b1))
     alp_mixed = alpha_prime(hironaka_coeffs(xi_mixed, b1))
 
-    w_nn = q_m4nn * unit_prod(range(1, n + 1)) * SignedRational(qpow(n * n)) \
-        * unit_prod(range(1, n + 1))
-    w_prime = q_m4nn * SignedRational(qpow(-2 * (n + 1))) \
-        * unit_prod(range(2, n + 1)) * SignedRational(qpow((n + 1) ** 2)) * alp_mixed
-    w_low = q_m4nn * unit_prod(range(1, n)) * SignedRational(qpow((n + 1) ** 2)) * al_top
+    units = _unit_prod(range(1, n + 1))
+    q_n1sq = qpow((n + 1) ** 2)
+    w_nn = q_m4nn * SignedRational(units * qpow(n * n) * units)
+    w_prime = q_m4nn * SignedRational(qpow(-2 * (n + 1)) * _unit_prod(range(2, n + 1)) * q_n1sq) \
+        * alp_mixed
+    w_low = q_m4nn * SignedRational(_unit_prod(range(1, n)) * q_n1sq) * al_top
 
     beta_last = solve_constants(n, n - 1).beta_h[n - 1]
     lhs = w_prime / w_nn - beta_last * (w_low / w_nn)
     qp1 = SignedRational(SL_ONE - npq(1))
-    rhs = (alp_mixed / unit_prod(range(1, n + 1))
-           - al_top / unit_prod(range(1, n + 2))) / qp1
+    rhs = (alp_mixed / SignedRational(units)
+           - al_top / SignedRational(_unit_prod(range(1, n + 2)))) / qp1
     return {
         "w_top": w_nn,
         "w_prime": w_prime,

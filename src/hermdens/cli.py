@@ -37,16 +37,12 @@ def to_doc(x):
         return {"num": x.to_json(), "den": {"0": "1"}, "str": str(x)}
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, bool) or isinstance(x, int) or isinstance(x, float):
-        return x
-    if isinstance(x, str):
+    if x is None or isinstance(x, (int, float, str)):
         return x
     if isinstance(x, dict):
         return {str(k): to_doc(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_doc(v) for v in x]
-    if x is None:
-        return None
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
@@ -73,11 +69,10 @@ def _emit(opts, doc: dict):
     print(text)
 
 
-def _deliver(opts, request: dict, build) -> int:
-    """Result path shared by the compute commands: echo the request, then build."""
-    doc = {"request": request}
-    doc.update(build())
-    _emit(opts, to_doc(doc))
+def _deliver(opts, request: dict, out: dict) -> int:
+    """Shared result path: the request, command and --decimal echoed beside the result."""
+    request.update(command=opts.command, decimal=opts.decimal)
+    _emit(opts, to_doc({"request": request, **out}))
     return 0
 
 
@@ -140,34 +135,30 @@ def integral(opts):
     """Entry integrals over one or two coordinate regions."""
     from .locint import charsum_oracle, norm_integral, trace_integral_J1, trace_pair_integral
 
-    kind, e, oracle, p, depth = opts.kind, opts.e, opts.oracle, opts.p, opts.depth
     regs = tuple(_REGION_NAMES[r] for r in opts.regions or ())
-    want = {"norm": 1, "trace_pair": 2, "trace_j1": 0}[kind]
+    want = {"norm": 1, "trace_pair": 2, "trace_j1": 0}[opts.kind]
     if len(regs) != want:
-        raise ValueError(f"kind {kind} takes exactly {want} --region options")
-    if oracle and kind == "trace_j1":
+        raise ValueError(f"kind {opts.kind} takes exactly {want} --region options")
+    if opts.oracle and opts.kind == "trace_j1":
         raise ValueError("the indicator integral has no character sum oracle")
-    request = {"command": "integral", "kind": kind, "regions": list(regs), "e": e,
-               "oracle": oracle, "p": p if oracle else None,
-               "depth": depth if oracle else None, "decimal": opts.decimal}
-
-    def build():
-        if kind == "norm":
-            value = norm_integral(regs[0], e)
-        elif kind == "trace_pair":
-            value = trace_pair_integral(regs[0], regs[1], e)
-        else:
-            value = trace_integral_J1(e)
-        out = {"value": value}
-        _attach_decimal(opts, out, 3)
-        if oracle:
-            d = depth if depth is not None else abs(e) + 2
-            got = charsum_oracle(p, kind, regs if kind == "trace_pair" else regs[0], e, d)
-            out["oracle"] = {"p": p, "depth": d, "value": got,
-                             "matches": got == value.evaluate(p)}
-        return out
-
-    return _deliver(opts, request, build)
+    request = {"kind": opts.kind, "regions": list(regs), "e": opts.e, "oracle": opts.oracle,
+               "p": opts.p if opts.oracle else None,
+               "depth": opts.depth if opts.oracle else None}
+    if opts.kind == "norm":
+        value = norm_integral(regs[0], opts.e)
+    elif opts.kind == "trace_pair":
+        value = trace_pair_integral(regs[0], regs[1], opts.e)
+    else:
+        value = trace_integral_J1(opts.e)
+    out = {"value": value}
+    _attach_decimal(opts, out, 3)
+    if opts.oracle:
+        d = opts.depth if opts.depth is not None else abs(opts.e) + 2
+        regions = regs if opts.kind == "trace_pair" else regs[0]
+        got = charsum_oracle(opts.p, opts.kind, regions, opts.e, d)
+        out["oracle"] = {"p": opts.p, "depth": d, "value": got,
+                         "matches": got == value.evaluate(opts.p)}
+    return _deliver(opts, request, out)
 
 
 @_command(_arg("--n", type=int, default=1, help="(default: %(default)s)"),
@@ -186,38 +177,29 @@ def wdens(opts):
     from .reps import WeightProfile
     from .whit import w_density_n1, w_density_truncated
 
-    n, h, t, b_text, symbolic = opts.n, opts.h, opts.t, opts.b_text, opts.symbolic
-    q, emin, emax, r, derivative = opts.q, opts.emin, opts.emax, opts.r, opts.derivative
-    if n != 1:
+    if opts.n != 1:
         raise ValueError("only n=1 carries the summed density")
-    numeric = q is not None or emin is not None or emax is not None
-    if symbolic == numeric:
+    numeric = opts.q is not None or opts.emin is not None or opts.emax is not None
+    if opts.symbolic == numeric:
         raise ValueError("choose either --symbolic or --q with --emin/--emax")
-    if numeric and (q is None or emin is None or emax is None):
+    if numeric and (opts.q is None or opts.emin is None or opts.emax is None):
         raise ValueError("numeric mode needs --q, --emin and --emax")
-    B = _form(b_text)
-    mode = "symbolic" if symbolic else "numeric"
-    request = {"command": "wdens", "n": n, "h": h, "t": t, "B": b_text.strip(),
-               "mode": mode, "q": q, "emin": emin, "emax": emax, "r": r,
-               "derivative": derivative, "decimal": opts.decimal}
-
-    def build():
-        if symbolic:
-            value, prime = w_density_n1(B, h, t, r)
-            out = {"value": value}
-            if derivative:
-                out["derivative"] = prime
-            _attach_decimal(opts, out, 3)
-            return out
-        window = max(abs(emin), abs(emax))
-        got = w_density_truncated(B, WeightProfile(1, h, t, r), q, window)
+    B = _form(opts.b_text)
+    request = {"n": opts.n, "h": opts.h, "t": opts.t, "B": opts.b_text.strip(),
+               "mode": "numeric" if numeric else "symbolic", "q": opts.q, "emin": opts.emin,
+               "emax": opts.emax, "r": opts.r, "derivative": opts.derivative}
+    if numeric:
+        got = w_density_truncated(B, WeightProfile(1, opts.h, opts.t, opts.r), opts.q,
+                                  max(abs(opts.emin), abs(opts.emax)))
         out = {"value": got["value"], "tail_report": got["tail_report"]}
-        if derivative:
-            out["derivative"] = got["derivative"]
-        _attach_decimal(opts, out, q)
-        return out
-
-    return _deliver(opts, request, build)
+        prime = got["derivative"]
+    else:
+        value, prime = w_density_n1(B, opts.h, opts.t, opts.r)
+        out = {"value": value}
+    if opts.derivative:
+        out["derivative"] = prime
+    _attach_decimal(opts, out, opts.q if numeric else 3)
+    return _deliver(opts, request, out)
 
 
 @_command(_arg("--n", type=int, required=True),
@@ -232,32 +214,26 @@ def beta(opts):
     """Correction constants from the exact linear system."""
     from .beta import beta_closed_last, solve_constants, verify_thm314
 
-    n, h, closed, check, b_text, q = opts.n, opts.h, opts.closed, opts.check, opts.b_text, opts.q
-    if closed and h != n - 1:
+    if opts.closed and opts.h != opts.n - 1:
         raise ValueError("--closed applies to the h = n-1 system")
-    if check and (n != 1 or b_text is None):
+    if opts.check and (opts.n != 1 or opts.b_text is None):
         raise ValueError("--verify needs n=1 and a --B form")
-    request = {"command": "beta", "n": n, "h": h, "closed": closed,
-               "verify": check, "B": b_text, "q": q, "decimal": opts.decimal}
-
-    def build():
-        sol = solve_constants(n, h)
-        out = {"beta_h": list(sol.beta_h), "beta_dual": list(sol.beta_dual),
-               "delta": sol.delta}
-        if closed:
-            cf = beta_closed_last(n)
-            out["closed_last"] = cf
-            out["closed_matches"] = sol.beta_h[n - 1] == cf
-        if check:
-            res = verify_thm314(_form(b_text), h)
-            block = {"lhs": res["lhs"], "rhs": res["rhs"], "match": res["match"]}
-            if q is not None:
-                block["lhs_at_q"] = res["lhs"].evaluate(q)
-                block["rhs_at_q"] = res["rhs"].evaluate(q)
-            out["identity"] = block
-        return out
-
-    return _deliver(opts, request, build)
+    request = {"n": opts.n, "h": opts.h, "closed": opts.closed, "verify": opts.check,
+               "B": opts.b_text, "q": opts.q}
+    sol = solve_constants(opts.n, opts.h)
+    out = {"beta_h": list(sol.beta_h), "beta_dual": list(sol.beta_dual), "delta": sol.delta}
+    if opts.closed:
+        cf = beta_closed_last(opts.n)
+        out["closed_last"] = cf
+        out["closed_matches"] = sol.beta_h[opts.n - 1] == cf
+    if opts.check:
+        res = verify_thm314(_form(opts.b_text), opts.h)
+        block = {"lhs": res["lhs"], "rhs": res["rhs"], "match": res["match"]}
+        if opts.q is not None:
+            block["lhs_at_q"] = res["lhs"].evaluate(opts.q)
+            block["rhs_at_q"] = res["rhs"].evaluate(opts.q)
+        out["identity"] = block
+    return _deliver(opts, request, out)
 
 
 @_command(_arg("--xi", required=True, metavar="E1,E2,..",
@@ -275,29 +251,23 @@ def alpha(opts):
     """Classical density of one diagonal form in another."""
     from .cdens import alpha_brute, alpha_prime, alpha_value, hironaka_coeffs
 
-    with_prime, pad, brute, q, d = opts.with_prime, opts.pad, opts.brute, opts.q, opts.d
-    if pad % 2 or pad < 0:
+    if opts.pad % 2 or opts.pad < 0:
         raise ValueError("--pad must be an even nonnegative count")
     xi_t, lam_t = _ints(opts.xi), _ints(opts.lam)
-    request = {"command": "alpha", "xi": list(xi_t), "lam": list(lam_t),
-               "prime": with_prime, "pad": pad, "brute": brute,
-               "q": q if brute else None, "d": d if brute else None,
-               "decimal": opts.decimal}
-
-    def build():
-        coeffs = hironaka_coeffs(xi_t, lam_t)
-        value = alpha_value(coeffs, r=pad // 2)
-        out = {"coefficients": list(coeffs), "value": value}
-        if with_prime:
-            out["prime"] = alpha_prime(coeffs)
-        _attach_decimal(opts, out, 3)
-        if brute:
-            counted = alpha_brute(xi_t, lam_t, q, d, pad=pad)
-            out["brute"] = {"p": q, "d": d, "value": counted,
-                            "matches": counted == value.evaluate(q)}
-        return out
-
-    return _deliver(opts, request, build)
+    request = {"xi": list(xi_t), "lam": list(lam_t), "prime": opts.with_prime,
+               "pad": opts.pad, "brute": opts.brute,
+               "q": opts.q if opts.brute else None, "d": opts.d if opts.brute else None}
+    coeffs = hironaka_coeffs(xi_t, lam_t)
+    value = alpha_value(coeffs, r=opts.pad // 2)
+    out = {"coefficients": list(coeffs), "value": value}
+    if opts.with_prime:
+        out["prime"] = alpha_prime(coeffs)
+    _attach_decimal(opts, out, 3)
+    if opts.brute:
+        counted = alpha_brute(xi_t, lam_t, opts.q, opts.d, pad=opts.pad)
+        out["brute"] = {"p": opts.q, "d": opts.d, "value": counted,
+                        "matches": counted == value.evaluate(opts.q)}
+    return _deliver(opts, request, out)
 
 
 @_command(_arg("--t", type=int, required=True),
@@ -306,16 +276,11 @@ def jfun(opts):
     """Normalized derivative functional of a rank one form."""
     from .cdens import jfun_n1
 
-    t, b_text = opts.t, opts.b_text
-    B = _form(b_text)
-    request = {"command": "jfun", "t": t, "B": b_text.strip(), "decimal": opts.decimal}
-
-    def build():
-        out = {"value": jfun_n1(t, B)}
-        _attach_decimal(opts, out, 3)
-        return out
-
-    return _deliver(opts, request, build)
+    B = _form(opts.b_text)
+    request = {"t": opts.t, "B": opts.b_text.strip()}
+    out = {"value": jfun_n1(opts.t, B)}
+    _attach_decimal(opts, out, 3)
+    return _deliver(opts, request, out)
 
 
 @_command(_arg("--n", type=int, required=True),
@@ -325,9 +290,9 @@ def appendix(opts):
     """Bottom-rank compatibility identity on split forms."""
     from .cdens import appendix_compat
 
-    n, exps = opts.n, _ints(opts.b1)
-    request = {"command": "appendix", "n": n, "B1": list(exps), "decimal": opts.decimal}
-    return _deliver(opts, request, lambda: appendix_compat(n, exps))
+    exps = _ints(opts.b1)
+    request = {"n": opts.n, "B1": list(exps)}
+    return _deliver(opts, request, appendix_compat(opts.n, exps))
 
 
 @_command(_arg("--q", type=int, required=True),
@@ -341,24 +306,18 @@ def tree(opts):
     """Intersection number of the two-ball configuration."""
     from .tree import TreeInstance, fk_buckets, intersect_zy
 
-    q, mx, my, d, vdet, per_f = opts.q, opts.mx, opts.my, opts.d, opts.vdet, opts.per_f
-    request = {"command": "tree", "q": q, "mx": mx, "my": my, "d": d,
-               "vdet": vdet, "per_f": per_f, "decimal": opts.decimal}
-
-    def build():
-        inst = TreeInstance(q, mx, my, d) if vdet is None else TreeInstance(q, mx, my, d, vdet)
-        res = intersect_zy(inst)
-        out = {"case": res["case"], "r": inst.r, "vdet": inst.vdet,
-               "intersection": res["total"]}
-        for extra in ("vertical", "horizontal", "diff_sum"):
-            if extra in res:
-                out[extra] = res[extra]
-        if per_f:
-            buckets = fk_buckets(inst)
-            out["f_components"] = {str(k): v for k, v in sorted(buckets.items())}
-        return out
-
-    return _deliver(opts, request, build)
+    shape = (opts.q, opts.mx, opts.my, opts.d)
+    request = {"q": opts.q, "mx": opts.mx, "my": opts.my, "d": opts.d, "vdet": opts.vdet,
+               "per_f": opts.per_f}
+    inst = TreeInstance(*shape) if opts.vdet is None else TreeInstance(*shape, opts.vdet)
+    res = intersect_zy(inst)
+    out = {"case": res["case"], "r": inst.r, "vdet": inst.vdet, "intersection": res["total"]}
+    for extra in ("vertical", "horizontal", "diff_sum"):
+        if extra in res:
+            out[extra] = res[extra]
+    if opts.per_f:
+        out["f_components"] = {str(k): v for k, v in sorted(fk_buckets(inst).items())}
+    return _deliver(opts, request, out)
 
 
 @_command(_arg("--suite", required=True, metavar="NAME"),

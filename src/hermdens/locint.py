@@ -31,12 +31,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 from math import isqrt, prod
 from operator import mod, mul
 
 from .errors import BudgetError, InvariantError
-from .symb import SR_ZERO, SignedRational, _expand
+from .symb import SignedRational, _expand
 
 REGIONS = ("O", "O_unit", "piO")
 
@@ -91,13 +90,11 @@ def trace_pair_term(r1: str, r2: str, e: int):
 
 
 def norm_integral(region: str, e: int) -> SignedRational:
-    term = norm_term(region, e)
-    return SR_ZERO if term is None else _expand(term)
+    return _expand(norm_term(region, e))
 
 
 def trace_pair_integral(r1: str, r2: str, e: int) -> SignedRational:
-    term = trace_pair_term(r1, r2, e)
-    return SR_ZERO if term is None else _expand(term)
+    return _expand(trace_pair_term(r1, r2, e))
 
 
 def trace_integral_J1(e: int) -> SignedRational:
@@ -199,10 +196,6 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
     pmp = p ** mp
 
     if kind == "norm":
-        if isinstance(regions, (tuple, list)):
-            if len(regions) != 1:
-                raise ValueError("norm kind takes exactly one region")
-            regions = regions[0]
         r = _check_region(regions)
         sq = [a * a % pm for a in range(pm)]
         fibers: dict[int, int] = {}

@@ -32,8 +32,9 @@ from functools import lru_cache
 
 from .errors import BudgetError
 
-# a term c s^e at s = -q is a number of about |e| log2(q) bits; evaluate
-# refuses a polynomial with a term over this size before it builds any power.
+# a term c s^e at s = -q is a number of about |e| log2(q) bits; _eval_point
+# refuses a term over this size before any power is built, for
+# SignedLaurent.evaluate and for the factored terms of whit's numeric sums.
 # verify at q = 3, 5, 7 and the tests need under 50 bits; at the limit a
 # thousand terms evaluate in about 0.1 s
 EVAL_MAX_BITS = 1 << 14
@@ -103,16 +104,12 @@ class SignedLaurent:
                 out[e] = v
             else:
                 out.pop(e, None)
-        r = SignedLaurent.__new__(SignedLaurent)
-        r.coeffs = out
-        return r
+        return _sl(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = SignedLaurent.__new__(SignedLaurent)
-        r.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return r
+        return _sl({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = _as_sl(other)
@@ -135,14 +132,10 @@ class SignedLaurent:
             return SignedLaurent()
         if len(a) == 1:
             (ea, ca), = a.items()
-            r = SignedLaurent.__new__(SignedLaurent)
-            r.coeffs = {e + ea: c * ca for e, c in b.items()}
-            return r
+            return _sl({e + ea: c * ca for e, c in b.items()})
         if len(b) == 1:
             (eb, cb), = b.items()
-            r = SignedLaurent.__new__(SignedLaurent)
-            r.coeffs = {e + eb: c * cb for e, c in a.items()}
-            return r
+            return _sl({e + eb: c * cb for e, c in a.items()})
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -152,9 +145,7 @@ class SignedLaurent:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        r = SignedLaurent.__new__(SignedLaurent)
-        r.coeffs = out
-        return r
+        return _sl(out)
 
     __rmul__ = __mul__
 
@@ -189,14 +180,7 @@ class SignedLaurent:
 
     def evaluate(self, q) -> Fraction:
         """Substitute s = -q; BudgetError when a term would exceed EVAL_MAX_BITS."""
-        s = -Fraction(q)
-        if s == 0:
-            raise ValueError("cannot evaluate at q = 0")
-        if self.coeffs:
-            bits = max(map(abs, self.coeffs)) * max(abs(s.numerator), s.denominator).bit_length()
-            if bits > EVAL_MAX_BITS:
-                raise BudgetError(f"evaluation limited to {EVAL_MAX_BITS}-bit terms, "
-                                  f"got about {bits} bits")
+        s = _eval_point(q, max(map(abs, self.coeffs), default=0))
         total = _F0
         for e, c in self.coeffs.items():
             total += c * s ** e
@@ -235,6 +219,28 @@ class SignedLaurent:
 _F0 = Fraction(0)
 
 
+def _sl(coeffs: dict) -> SignedLaurent:
+    """A SignedLaurent holding coeffs itself: no copy and no normalization."""
+    r = SignedLaurent.__new__(SignedLaurent)
+    r.coeffs = coeffs
+    return r
+
+
+def _eval_point(q, degree: int, pad: int = 0) -> Fraction:
+    """s = -q for terms of total degree <= degree in factors of size <= |q| + pad.
+
+    BudgetError, before any power is built, when such a term is over EVAL_MAX_BITS.
+    """
+    s = -Fraction(q)
+    if s == 0:
+        raise ValueError("cannot evaluate at q = 0")
+    bits = degree * (max(abs(s.numerator), s.denominator) + pad).bit_length()
+    if bits > EVAL_MAX_BITS:
+        raise BudgetError(f"evaluation limited to {EVAL_MAX_BITS}-bit terms, "
+                          f"got about {bits} bits")
+    return s
+
+
 def _div(a, b):
     """Exact quotient of two int/Fraction coefficients: an int when it is integral."""
     if a.__class__ is int and b.__class__ is int:
@@ -257,23 +263,22 @@ def _as_sl(x):
 # polynomial helpers on plain dicts with min exponent 0
 
 
-def _split_monomial(p: SignedLaurent):
-    """p = s^shift * P with P of minimal exponent 0.  Returns (shift, P dict)."""
-    m = p.min_exp()
-    return m, {e - m: c for e, c in p.coeffs.items()}
-
-
-def _pdeg(a: dict) -> int:
-    return max(a)
+def _strip(a: dict) -> tuple[int, dict]:
+    """a = s^m * P with P of minimal exponent 0, for a nonzero a: (m, P), P is a when m is 0."""
+    m = min(a)
+    return m, (a if m == 0 else {e - m: c for e, c in a.items()})
 
 
 def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
     # quotient and remainder of a by b, both min-exp-0 dicts, b nonzero
     a = dict(a)
     out = {}
-    db, lb = _pdeg(b), b[_pdeg(b)]
-    while a and _pdeg(a) >= db:
-        da = _pdeg(a)
+    db = max(b)
+    lb = b[db]
+    while a:
+        da = max(a)
+        if da < db:
+            break
         f = _div(a[da], lb)
         shift = da - db
         out[shift] = f
@@ -295,18 +300,11 @@ def _pdivexact(a: dict, b: dict) -> dict:
     return out
 
 
-def _strip(a: dict) -> dict:
-    m = min(a)
-    if m == 0:
-        return a
-    return {e - m: c for e, c in a.items()}
-
-
 def _pgcd(a: dict, b: dict) -> dict:
     # Euclid on min-exp-0 dicts; result min-exp-0 with constant term 1
     while b:
         r = _pdivmod(a, b)[1]
-        a, b = b, (_strip(r) if r else {})
+        a, b = b, (_strip(r)[1] if r else {})
     lo = a[min(a)]
     return {e: _div(c, lo) for e, c in a.items()}
 
@@ -327,29 +325,23 @@ class SignedRational:
             self.num = SignedLaurent()
             self.den = SignedLaurent.one()
             return
-        sn, pn = _split_monomial(num)
-        sd, pd = _split_monomial(den)
-        if len(pd) == 1:
-            # monomial denominator: fast path, no gcd needed
-            q = pn
-        else:
+        sn, pn = _strip(num.coeffs)
+        sd, pd = _strip(den.coeffs)
+        # a monomial denominator needs no gcd
+        if len(pd) > 1:
             g = _pgcd(pn, pd)
             if len(g) > 1 or g.get(0) != 1:
                 pn = _pdivexact(pn, g)
                 pd = _pdivexact(pd, g)
-            q = pn
         c0 = pd[0]
         shift = sn - sd
-        self.num = SignedLaurent({e + shift: _div(c, c0) for e, c in q.items()})
+        self.num = SignedLaurent({e + shift: _div(c, c0) for e, c in pn.items()})
         self.den = SignedLaurent({e: _div(c, c0) for e, c in pd.items()})
 
     # -- helpers --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_monomial(self) -> bool:
-        return self.num.is_monomial() and self.den == SignedLaurent.one()
 
     # -- field operations ------------------------------------------------
 
@@ -542,7 +534,10 @@ def _pm_poly(a: int, b: int) -> SignedLaurent:
     return SignedLaurent(dict(enumerate(_pm_coeffs(a, b))))
 
 
-def _expand(term: tuple) -> SignedRational:
+def _expand(term) -> SignedRational:
+    """The factored term as a SignedRational; None stands for zero."""
+    if term is None:
+        return SR_ZERO
     c, n, a, b = term
     num = SignedLaurent({e: c * x for e, x in enumerate(_pm_coeffs(max(a, 0), max(b, 0)), n)})
     return SignedRational(num, _pm_poly(max(-a, 0), max(-b, 0)))

@@ -13,12 +13,13 @@ a nonzero rational, an int when integral (symb._div); the form is unique, so
 tuple equality is value equality.
 The gram and profile factors read per-involution plans (_gram_plan,
 _profile_plan), so a term costs one walk over each plan with the exponents.
-Both density routes read the finite box of forms through one walk (_box)
-and merge its terms into sums {(N, A, B): c}.  The exact route puts a merged
-sum over one common denominator and canonicalizes once; the plane beyond
-the box is split into cones, each a geometric series that _cone checks as
-exponent differences before summing it in closed form.  The numeric route
-evaluates each distinct (N, A, B) once at s = -q.
+One builder (_n1_term) makes the term of each form.  Both density routes
+read the finite box of forms through one walk (_box) and merge its terms
+into sums {(N, A, B): c}.  The exact route puts a merged sum over one
+common denominator and canonicalizes once; the plane beyond the box is
+split into cones, each a geometric series that _cone checks as exponent
+differences before summing it in closed form.  The numeric route evaluates
+each distinct (N, A, B) once at s = -q.
 
 Derivatives are taken against the lattice scaling variable X = s^{-2r} with
 the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
@@ -28,13 +29,14 @@ the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_solutions, norm_term, trace_pair_term
 from .reps import MonomialHermitian, WeightProfile, classify
-from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, _div, _expand, _pm_coeffs, _pm_poly, npq
+from .symb import (SL_ONE, SR_ZERO, SignedLaurent, SignedRational, _div, _eval_point, _expand,
+                   _pm_coeffs, _pm_poly, npq)
 
 
 def _min0(x: int) -> int:
@@ -77,11 +79,10 @@ def _numerator(acc: dict, low: tuple) -> SignedLaurent:
 
 
 def _evaluate(term: tuple, q: int) -> Fraction:
-    """Value of a factored term at s = -q."""
-    s = -Fraction(q)
-    if s == 0:
-        raise ValueError("cannot evaluate at q = 0")
+    """Value of a factored term at s = -q, within symb.EVAL_MAX_BITS."""
     c, n, a, b = term
+    # |s - 1| = q + 1 is the largest of the three factors
+    s = _eval_point(q, abs(n) + abs(a) + abs(b), 1)
     return c * s ** n * (s - 1) ** a * (s + 1) ** b
 
 
@@ -146,8 +147,7 @@ def gram_g(Y: MonomialHermitian, B: MonomialHermitian) -> SignedRational:
     norm integrals, two-element orbits give trace pair integrals.  The slot
     exponent e_j + lam_k is orbit constant.
     """
-    g = _gram_factor(Y, B)
-    return SR_ZERO if g is None else _expand(g)
+    return _expand(_gram_factor(Y, B))
 
 
 def gram_fingerprint(Y: MonomialHermitian, B: MonomialHermitian) -> tuple:
@@ -185,15 +185,20 @@ def _profile_plan(sigma: tuple, h: int) -> tuple:
     return tuple(plan)
 
 
-def _profile_items(Y: MonomialHermitian, h: int):
-    """Per-orbit exponent contributions (m_coef, t_coef, t_const).
+def _profile_sums(Y: MonomialHermitian, h: int) -> tuple[int, int, int]:
+    """(m_sum, t_sum, c_sum): the profile plan's orbits summed in one pass.
 
-    The full profile exponent is sum(M*m_coef + T*t_coef + T*t_const) with
-    M = 2n - t + 2r and T = t.
+    Each orbit adds mult * min(0, e) to m_sum, mult * min(0, e + shift) to
+    t_sum and t_const to c_sum; the full profile exponent is
+    M*m_sum + T*(t_sum + c_sum) with M = 2n - t + 2r and T = t.
     """
     e = Y.e
-    return [(mult * _min0(e[j]), mult * _min0(e[j] + shift), t_const)
-            for j, mult, shift, t_const in _profile_plan(Y.sigma, h)]
+    m_sum = t_sum = c_sum = 0
+    for j, mult, shift, t_const in _profile_plan(Y.sigma, h):
+        m_sum += mult * _min0(e[j])
+        t_sum += mult * _min0(e[j] + shift)
+        c_sum += t_const
+    return m_sum, t_sum, c_sum
 
 
 def slope_of(Y: MonomialHermitian) -> int:
@@ -217,18 +222,15 @@ def _profile_exps(Y: MonomialHermitian, prof: WeightProfile) -> tuple[int, int]:
     """(base_exp, slope): the profile value is s^(base_exp + 2 r slope)."""
     if Y.size != 2 * prof.n:
         raise ValueError("size mismatch")
-    items = _profile_items(Y, prof.h)
+    m_sum, t_sum, c_sum = _profile_sums(Y, prof.h)
     t = prof.t
-    m_sum = sum(a for a, _, _ in items)
-    base_exp = (2 * prof.n - t) * m_sum + sum(t * b + t * c for _, b, c in items)
-    return base_exp, m_sum
+    return (2 * prof.n - t) * m_sum + t * (t_sum + c_sum), m_sum
 
 
 def f_plain(Y: MonomialHermitian, h: int) -> SignedRational:
     """Profile with both multipliers set to n and no constant terms."""
-    n = Y.n
-    items = _profile_items(Y, h)
-    return SignedRational(npq(sum(n * a + n * b for a, b, _ in items)))
+    m_sum, t_sum, _ = _profile_sums(Y, h)
+    return SignedRational(npq(Y.n * (m_sum + t_sum)))
 
 
 def profile_statement(Y: MonomialHermitian, prof: WeightProfile) -> SignedRational:
@@ -270,7 +272,7 @@ def _alpha_factor(Y: MonomialHermitian) -> tuple:
     """alpha_iwahori_n1(Y) as a factored term (c, N, A, B)."""
     if Y.size != 2:
         raise ValueError("closed forms cover 2x2 only")
-    if Y.is_diagonal():
+    if Y.sigma == (1, 2):
         m1, m2 = Y.e
         k = -4 + m1 + 3 * m2 if m1 >= m2 else -2 + 3 * m1 + m2
         # (q + 1)^2 q^k = (s - 1)^2 (-1)^k s^k
@@ -389,20 +391,27 @@ def _close(box: dict, tails: dict) -> SignedRational:
     return SignedRational(num, den)
 
 
+def _n1_term(B: MonomialHermitian, prof: WeightProfile, pt: tuple):
+    """The density term at pt, None when zero: (m1, m2) is a diagonal form and
+    (e,) the antidiagonal (e, e).  Valid by construction, so no make_monomial."""
+    if len(pt) == 2:
+        return _density_term(MonomialHermitian(2, (1, 2), pt), B, prof)
+    return _density_term(MonomialHermitian(2, (2, 1), pt * 2), B, prof)
+
+
 def _box(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
     """Yield (top, slope, term) for each nonzero density term with exponents in [lo, hi].
 
     The diagonal forms (m1, m2) come first, then the antidiagonal (e, e);
-    top is the larger exponent and slope the derivative weight.  The forms
-    are valid by construction, so they skip make_monomial.
+    top is the larger exponent and slope the derivative weight.
     """
     for m1 in range(lo, hi + 1):
         for m2 in range(lo, hi + 1):
-            tm = _density_term(MonomialHermitian(2, (1, 2), (m1, m2)), B, prof)
+            tm = _n1_term(B, prof, (m1, m2))
             if tm is not None:
                 yield max(m1, m2), _min0(m1) + _min0(m2), tm
     for e in range(lo, hi + 1):
-        tm = _density_term(MonomialHermitian(2, (2, 1), (e, e)), B, prof)
+        tm = _n1_term(B, prof, (e,))
         if tm is not None:
             yield e, 2 * _min0(e), tm
 
@@ -410,12 +419,24 @@ def _box(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
 # K = max|e| + KINK_PAD passes every kink of the piecewise terms; the
 # exact result does not depend on it (there is a test for that)
 KINK_PAD = 4
-# the summed box has (2K + 1)^2 terms
+# the summed box has (2K + 1)^2 terms; the exact sum's numerator has about
+# K * min(r, K) terms and canonicalizing it costs their square, so
+# w_density_n1 also caps max|e| * min(r, max|e|) at this value
 DENSITY_MAX_EXP = 300
 # numeric sums evaluate each distinct (N, A, B) of the box at s = -q, and
 # those values grow with q; this admits every prime that verify (q <= 53)
 # evaluates at
 NUMERIC_MAX_Q = 53
+
+
+def _density_top(B: MonomialHermitian) -> int:
+    """max|e| of the 2x2 form B, refused with BudgetError over DENSITY_MAX_EXP."""
+    if B.size != 2:
+        raise ValueError("n = 1 only")
+    top = max(abs(l) for l in B.e)
+    if top > DENSITY_MAX_EXP:
+        raise BudgetError(f"exact density limited to max|e| <= {DENSITY_MAX_EXP}, got {top}")
+    return top
 
 
 @lru_cache(maxsize=None)
@@ -432,19 +453,14 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0):
     ask for the same (B, h, t, r) again, and the result is an immutable pair
     of SignedRationals.  A raised BudgetError is not cached.
     """
-    if B.size != 2:
-        raise ValueError("n = 1 only")
-    top = max(abs(l) for l in B.e)
-    if top > DENSITY_MAX_EXP:
-        raise BudgetError(f"exact density limited to max|e| <= {DENSITY_MAX_EXP}, got {top}")
+    top = _density_top(B)
     prof = WeightProfile(1, h, t, r)
+    spread = top * min(r, top)
+    if spread > DENSITY_MAX_EXP:
+        raise BudgetError(f"exact density limited to max|e| * min(r, max|e|) <= "
+                          f"{DENSITY_MAX_EXP}, got {spread}")
     K = top + KINK_PAD
-
-    def term(pt):
-        # (m1, m2) is the diagonal form, (e,) the antidiagonal one
-        if len(pt) == 2:
-            return _density_term(MonomialHermitian(2, (1, 2), pt), B, prof)
-        return _density_term(MonomialHermitian(2, (2, 1), pt * 2), B, prof)
+    term = partial(_n1_term, B, prof)
 
     box, dbox = {}, {}
     for _, slope, tm in _box(B, prof, -K, K):

@@ -433,6 +433,25 @@ class TestArgumentParsing:
         assert res.stdout == ""
         assert "evaluation limited" in res.stderr
 
+    @pytest.mark.parametrize("args,message", [
+        # numeric terms at s = -q go through the same bit budget as evaluate
+        (["wdens", "--B", "diag:0,-1", "--h", "1", "--t", "1", "--q", "3",
+          "--emin", "-3", "--emax", "3", "--r", "100000"], "evaluation limited"),
+        # the smallest r refused at max|e| = 300
+        (["wdens", "--B", "diag:300,300", "--h", "0", "--t", "1", "--symbolic", "--derivative",
+          "--r", "2"], "min(r, max|e|) <= 300, got 600"),
+        # the dual form diag:301,299 is over the exponent budget
+        (["beta", "--n", "1", "--h", "1", "--verify", "--B", "diag:300,300", "--q", "53"],
+         "max|e| <= 300, got 301"),
+    ])
+    def test_density_budget_before_work(self, runner, args, message):
+        t0 = time.perf_counter()
+        res = invoke(runner, args)
+        assert time.perf_counter() - t0 < 2
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert message in res.stderr
+
 
 def run_child(*args):
     env = dict(os.environ)

@@ -328,13 +328,13 @@ def test_profile_plan_cached_per_involution_and_h(monkeypatch):
     from hermdens.verify import run_suite
 
     pairs = set()
-    items = whit._profile_items
+    sums = whit._profile_sums
 
     def spy(Y, h):
         pairs.add((Y.sigma, h))
-        return items(Y, h)
+        return sums(Y, h)
 
-    monkeypatch.setattr(whit, "_profile_items", spy)
+    monkeypatch.setattr(whit, "_profile_sums", spy)
     whit._profile_plan.cache_clear()
     whit.w_density_n1.cache_clear()
     report = run_suite("all", q=3)
