@@ -4,7 +4,8 @@ The constants come out of a (2n+1) x (2n+1) linear system whose rows are
 indexed by the class counter difference c = frak_c - frak_a, which ranges
 over [-(2n-h), h] as i runs from 1 to 2n+1.  Columns hold the profile
 monomials of the two dual towers at t = 0..n-1 plus one final column for the
-t = n term; the right hand side carries the counter itself.
+t = n term; the right hand side carries the counter itself.  build_system
+returns these monomials as SignedLaurents.
 
 The matrix is a scaled two-node Vandermonde in disguise: with nodes x_j and
 column scalings alpha_j as below, s^{2n(2n-h)} B_{ij} = x_j^{i-1} alpha_j.
@@ -42,15 +43,14 @@ def build_system(n: int, h: int):
     N = 2 * n + 1
     cut = 2 * n - h
     dual_pref = -4 * n * (n - h)
-    mat = []
-    rhs = []
+    mat, rhs = [], []
     for i in range(1, N + 1):
         c = i - (cut + 1)
-        row = [SignedRational(npq((n - t) * c - 2 * t * cut)) for t in range(n)]
-        row += [SignedRational(npq(dual_pref - (n - t) * c - 2 * t * h)) for t in range(n)]
-        row.append(SignedRational(npq(-2 * n * cut)))
+        row = [npq((n - t) * c - 2 * t * cut) for t in range(n)]
+        row += [npq(dual_pref - (n - t) * c - 2 * t * h) for t in range(n)]
+        row.append(npq(-2 * n * cut))
         mat.append(row)
-        rhs.append(SignedRational(npq(-2 * n * cut)) * SignedRational(c))
+        rhs.append(npq(-2 * n * cut, c))
     return mat, rhs
 
 
@@ -66,11 +66,8 @@ def solve_constants(n: int, h: int) -> BetaSolution:
 
 def beta_closed_last(n: int) -> SignedRational:
     """Closed form for the top constant of the h = n - 1 system."""
-    num = SignedRational(SL_ONE - npq(n))
-    den = (SignedRational(npq(3 * n + 1))
-           * SignedRational(SL_ONE - npq(1))
-           * SignedRational(SL_ONE - npq(-(n + 1))))
-    return num / den
+    return SignedRational(SL_ONE - npq(n),
+                          npq(3 * n + 1) * (SL_ONE - npq(1)) * (SL_ONE - npq(-(n + 1))))
 
 
 def _nodes(n: int, h: int):
@@ -92,14 +89,9 @@ def vandermonde_factor_check(n: int, h: int) -> bool:
     """Entrywise check of s^{2n(2n-h)} B_ij = x_j^{i-1} alpha_j."""
     mat, _ = build_system(n, h)
     xs, al = _nodes(n, h)
-    scale = SignedRational(npq(2 * n * (2 * n - h)))
-    for i in range(2 * n + 1):
-        for j in range(2 * n + 1):
-            lhs = scale * mat[i][j]
-            rhs = SignedRational(xs[j]) ** i * SignedRational(al[j])
-            if lhs != rhs:
-                return False
-    return True
+    scale = 2 * n * (2 * n - h)
+    return all(mat[i][j].shifted(scale) == xs[j] ** i * al[j]
+               for i in range(2 * n + 1) for j in range(2 * n + 1))
 
 
 def vandermonde_inverse_route(n: int, h: int) -> list[SignedRational]:

@@ -8,8 +8,9 @@ normalized so the limit exists: with A of size m, B of size k,
 Growing the ambient form by unimodular hyperbolic padding turns alpha into
 a polynomial in X = s^(-2r), where 2r is the number of padded slots.  The
 closed evaluation used here expands over subpartitions of the shifted
-target exponents; each coefficient is exact in s.  Derivatives follow the
-same convention as the weighted densities: prime means -d/dX at X = 1.
+target exponents; each coefficient is a SignedLaurent, and alpha_value and
+alpha_prime canonicalize their sum once into a SignedRational.  Derivatives
+follow the same convention as the weighted densities: prime means -d/dX at X = 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_solutions
-from .symb import SL_ONE, SR_ZERO, SignedLaurent, SignedRational, npq, qpow
+from .symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, npq, qpow
 
 
 def _check_partition(parts: Sequence[int], what: str) -> tuple[int, ...]:
@@ -87,26 +88,25 @@ def _unit_prod(shifts) -> SignedLaurent:
 
 
 @lru_cache(maxsize=None)
-def gauss_bracket(u: int, v: int) -> SignedRational:
-    """Product-form binomial built from (1 - s^-i) factors; zero outside 0<=v<=u."""
+def gauss_bracket(u: int, v: int) -> SignedLaurent:
+    """Gaussian binomial in s^-1, [u-1, v-1] + s^-v [u-1, v]; zero outside 0<=v<=u."""
     if v < 0 or v > u:
-        return SR_ZERO
-    return SignedRational(_unit_prod(range(1, u + 1)),
-                          _unit_prod(range(1, v + 1)) * _unit_prod(range(1, u - v + 1)))
+        return SL_ZERO
+    if v == 0 or v == u:
+        return SL_ONE
+    return gauss_bracket(u - 1, v - 1) + gauss_bracket(u - 1, v).shifted(-v)
 
 
 @lru_cache(maxsize=None)
-def _transition_factor(top: int, nxt: int, mj: int, mj1: int) -> SignedRational:
+def _transition_factor(top: int, nxt: int, mj: int, mj1: int) -> SignedLaurent:
     """Factor of column j: top, nxt are parts j, j+1 of lt_c, and mj, mj1 those of mu_c."""
-    total = SR_ZERO
+    total = SL_ZERO
     for i in range(mj1, min(nxt, mj) + 1):
         twice = i * (2 * nxt + 1 - i)
         if twice % 2:
             raise InvariantError(f"odd exponent {twice}/2 at i={i}, next part {nxt}")
-        term = SignedRational(npq(twice // 2))
-        term = term * gauss_bracket(nxt - mj1, nxt - i)
-        term = term * gauss_bracket(top - i, top - mj)
-        total = total + term
+        term = gauss_bracket(nxt - mj1, nxt - i) * gauss_bracket(top - i, top - mj)
+        total = total + term.shifted(twice // 2)
     return total
 
 
@@ -117,7 +117,7 @@ HIRONAKA_MAX_PARTS = 12
 HIRONAKA_MAX_TERMS = 20_000
 
 
-def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedRational]:
+def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedLaurent]:
     """Coefficients of the padding polynomial P(X) for alpha(form xi, target lam).
 
     xi and lam are the diagonal pi-exponents of the two forms, sorted
@@ -140,40 +140,30 @@ def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedRationa
     lt_c = conjugate_partition(lt)
     # only the first lt[0] parts of xi_c meet a mu_c, so larger xi parts are cut there
     xi_c = conjugate_partition(tuple(min(x, lt[0]) for x in xi_t))
-    coeffs = [SR_ZERO] * (sum(lt) + 1)
+    coeffs = [SL_ZERO] * (sum(lt) + 1)
     for mu in _subpartitions(lt):
         k = sum(mu)
         mu_c = conjugate_partition(mu)
         pair = sum(a * b for a, b in zip(xi_c, mu_c))
         exp = -partition_weight_n(mu) + (n - m - 1) * k + pair
-        base = SignedRational(npq(exp))
-        if k % 2:
-            base = base * SignedRational(-1)
-        prod = base
+        prod = npq(exp, -1 if k % 2 else 1)
         for j in range(1, lam_t[0] + 2):
             prod = prod * _transition_factor(_part_at(lt_c, j), _part_at(lt_c, j + 1),
                                              _part_at(mu_c, j), _part_at(mu_c, j + 1))
-            if prod == SR_ZERO:
+            if prod.is_zero():
                 break
         coeffs[k] = coeffs[k] + prod
     return coeffs
 
 
-def alpha_value(coeffs: Sequence[SignedRational], r: int = 0) -> SignedRational:
+def alpha_value(coeffs: Sequence[SignedLaurent], r: int = 0) -> SignedRational:
     if r < 0:
         raise ValueError("padding radius must be nonnegative")
-    total = SR_ZERO
-    for k, c in enumerate(coeffs):
-        total = total + c * SignedRational(npq(-2 * r * k))
-    return total
+    return SignedRational(sum((c.shifted(-2 * r * k) for k, c in enumerate(coeffs)), SL_ZERO))
 
 
-def alpha_prime(coeffs: Sequence[SignedRational]) -> SignedRational:
-    total = SR_ZERO
-    for k, c in enumerate(coeffs):
-        if k:
-            total = total + c * SignedRational(-k)
-    return total
+def alpha_prime(coeffs: Sequence[SignedLaurent]) -> SignedRational:
+    return SignedRational(sum((c * -k for k, c in enumerate(coeffs)), SL_ZERO))
 
 
 def alpha_diag_unimodular(k: int, m: int, n: int) -> SignedRational:
@@ -198,19 +188,17 @@ def prop_a5_value(n: int, target_size: int) -> SignedRational:
 def san_alpha2(a: int, b: int) -> SignedRational:
     """alpha(1_2, diag(pi^a, pi^b)) for a >= b >= 0 with a + b even."""
     _check_san_pair(a, b)
-    qp1sq = (SL_ONE - npq(1)) ** 2
-    val = SignedRational(qp1sq) * SignedRational(qpow(-3))
-    return val * SignedRational(qpow(b + 1) - SL_ONE)
+    return SignedRational((SL_ONE - npq(1)) ** 2 * qpow(-3) * (qpow(b + 1) - SL_ONE))
 
 
 def san_alpha2_prime(a: int, b: int) -> SignedRational:
     """alpha'(diag(1, pi), diag(pi^a, pi^b)) for a >= b >= 0 with a + b even."""
     _check_san_pair(a, b)
-    qp1sq = SignedRational((SL_ONE - npq(1)) ** 2)
-    first = qp1sq * SignedRational(qpow(-1)) * SignedRational(Fraction(a + b, 2))
+    qp1sq = (SL_ONE - npq(1)) ** 2
+    first = qp1sq * qpow(-1) * Fraction(a + b, 2)
     inner = qpow(b + 2) - qpow(2) - qpow(1) + SL_ONE
-    second = qp1sq / SignedRational(qpow(1) * (qpow(2) - SL_ONE)) * SignedRational(inner)
-    return first - second
+    den = qpow(1) * (qpow(2) - SL_ONE)
+    return SignedRational(first * den - qp1sq * inner, den)
 
 
 def _check_san_pair(a: int, b: int) -> None:
@@ -270,8 +258,7 @@ def jfun_n1(t: int, B) -> SignedRational:
     beta0 = solve_constants(1, t).beta_h[0]
     val1, prime1 = w_density_n1(B, t, 1)
     val0, _ = w_density_n1(B, t, 0)
-    norm = SignedRational(qpow(5)) / SignedRational((SL_ONE - npq(1)) ** 2)
-    return (prime1 - beta0 * val0) * norm
+    return (prime1 - beta0 * val0) * SignedRational(qpow(5), (SL_ONE - npq(1)) ** 2)
 
 
 def thm42_display(a: int, b: int) -> dict:
@@ -282,8 +269,8 @@ def thm42_display(a: int, b: int) -> dict:
     lhs = jfun_n1(0, diagonal((a, b)))
     al = alpha_value(hironaka_coeffs((0, 0), lam))
     alp = alpha_prime(hironaka_coeffs((1, 0), lam))
-    norm = SignedRational(qpow(1)) / SignedRational((SL_ONE - npq(1)) ** 2)
-    corr = SignedRational(qpow(2)) / SignedRational(qpow(2) - SL_ONE)
+    norm = SignedRational(qpow(1), (SL_ONE - npq(1)) ** 2)
+    corr = SignedRational(qpow(2), qpow(2) - SL_ONE)
     rhs = norm * (alp - corr * al)
     return {"lhs": lhs, "rhs": rhs, "match": lhs == rhs}
 
@@ -312,23 +299,20 @@ def appendix_compat(n: int, b1_exps: Sequence[int]) -> dict:
     if len(b1) != n + 1:
         raise ValueError(f"top block must have size n+1 = {n + 1}")
 
-    q_m4nn = SignedRational(qpow(-4 * n * n))
-    xi_mixed = _check_partition((1,) + (0,) * n, "xi")
     al_top = alpha_value(hironaka_coeffs(((0,) * (n + 1)), b1))
-    alp_mixed = alpha_prime(hironaka_coeffs(xi_mixed, b1))
+    alp_mixed = alpha_prime(hironaka_coeffs((1,) + (0,) * n, b1))
 
     units = _unit_prod(range(1, n + 1))
+    q_m4nn = qpow(-4 * n * n)
     q_n1sq = qpow((n + 1) ** 2)
-    w_nn = q_m4nn * SignedRational(units * qpow(n * n) * units)
-    w_prime = q_m4nn * SignedRational(qpow(-2 * (n + 1)) * _unit_prod(range(2, n + 1)) * q_n1sq) \
-        * alp_mixed
-    w_low = q_m4nn * SignedRational(_unit_prod(range(1, n)) * q_n1sq) * al_top
+    w_nn = SignedRational(q_m4nn * units * qpow(n * n) * units)
+    w_prime = SignedRational(q_m4nn * qpow(-2 * (n + 1)) * _unit_prod(range(2, n + 1)) * q_n1sq
+                             * alp_mixed.num, alp_mixed.den)
+    w_low = SignedRational(q_m4nn * _unit_prod(range(1, n)) * q_n1sq * al_top.num, al_top.den)
 
     beta_last = solve_constants(n, n - 1).beta_h[n - 1]
     lhs = w_prime / w_nn - beta_last * (w_low / w_nn)
-    qp1 = SignedRational(SL_ONE - npq(1))
-    rhs = (alp_mixed / SignedRational(units)
-           - al_top / SignedRational(_unit_prod(range(1, n + 2)))) / qp1
+    rhs = (alp_mixed / units - al_top / _unit_prod(range(1, n + 2))) / (SL_ONE - npq(1))
     return {
         "w_top": w_nn,
         "w_prime": w_prime,

@@ -174,7 +174,11 @@ class SignedLaurent:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        # a constant hashes as the int, Fraction or SignedRational it equals
+        c = self.coeffs
+        if not c or (len(c) == 1 and 0 in c):
+            return hash(c.get(0, 0))
+        return hash(frozenset(c.items()))
 
     # -- evaluation and IO ----------------------------------------------
 
@@ -415,7 +419,8 @@ class SignedRational:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a canonical one-term denominator is 1, and the value hashes as its numerator
+        return hash(self.num) if len(self.den.coeffs) == 1 else hash((self.num, self.den))
 
     # -- evaluation and IO ------------------------------------------------
 

@@ -214,8 +214,7 @@ def profile_f(Y: MonomialHermitian, prof: WeightProfile):
     value = f_base * X^{-slope}.
     """
     base_exp, m_sum = _profile_exps(Y, prof)
-    value = SignedRational(npq(base_exp + 2 * prof.r * m_sum))
-    return SignedRational(npq(base_exp)), m_sum, value
+    return npq(base_exp), m_sum, npq(base_exp + 2 * prof.r * m_sum)
 
 
 def _profile_exps(Y: MonomialHermitian, prof: WeightProfile) -> tuple[int, int]:
@@ -227,26 +226,26 @@ def _profile_exps(Y: MonomialHermitian, prof: WeightProfile) -> tuple[int, int]:
     return (2 * prof.n - t) * m_sum + t * (t_sum + c_sum), m_sum
 
 
-def f_plain(Y: MonomialHermitian, h: int) -> SignedRational:
+def f_plain(Y: MonomialHermitian, h: int) -> SignedLaurent:
     """Profile with both multipliers set to n and no constant terms."""
     m_sum, t_sum, _ = _profile_sums(Y, h)
-    return SignedRational(npq(Y.n * (m_sum + t_sum)))
+    return npq(Y.n * (m_sum + t_sum))
 
 
-def profile_statement(Y: MonomialHermitian, prof: WeightProfile) -> SignedRational:
+def profile_statement(Y: MonomialHermitian, prof: WeightProfile) -> SignedLaurent:
     """Closed rearrangement of profile_f at r = 0 via the class counters."""
     cls = classify(Y, prof.h)
     n, t, h = prof.n, prof.t, prof.h
     shift = (n - t) * (cls.frak_c - cls.frak_a) - 2 * t * (2 * n - h)
-    return SignedRational(npq(shift)) * f_plain(Y, prof.h)
+    return f_plain(Y, prof.h).shifted(shift)
 
 
-def profile_f_prime(Y: MonomialHermitian, prof: WeightProfile) -> SignedRational:
+def profile_f_prime(Y: MonomialHermitian, prof: WeightProfile) -> SignedLaurent:
     """prime of the profile at X = 1; only meaningful with prof.r == 0."""
     if prof.r != 0:
         raise ValueError("prime is taken at r = 0")
     _, slope, value = profile_f(Y, prof)
-    return SignedRational(slope) * value
+    return value * slope
 
 
 def dual_slope(Y: MonomialHermitian, h: int) -> int:

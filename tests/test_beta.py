@@ -12,7 +12,7 @@ from hermdens.beta import (
 )
 from hermdens.errors import BudgetError
 from hermdens.reps import diagonal, make_monomial
-from hermdens.symb import SL_ONE, SignedRational, npq, sr_solve_linear
+from hermdens.symb import SL_ONE, SignedLaurent, SignedRational, npq, sr_solve_linear
 
 
 def test_system_frozen_n1_h1():
@@ -39,6 +39,13 @@ def test_system_frozen_n1_h0():
     # offsets run c = -2, -1, 0 here, so the zero lands in the last slot
     assert rhs[2] == SignedRational(0)
     assert rhs[0] == SignedRational(npq(-4)) * SignedRational(-2)
+
+
+def test_system_builds_no_quotient(rational_builds):
+    for n, h in ((1, 0), (2, 1), (3, 6)):
+        mat, rhs = build_system(n, h)
+        assert all(isinstance(x, SignedLaurent) for row in (*mat, rhs) for x in row)
+    assert rational_builds[0] == 0
 
 
 def test_system_validation():

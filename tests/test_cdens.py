@@ -7,12 +7,14 @@ from hermdens.cdens import (
     JCount,
     _count_subpartitions,
     _subpartitions,
+    _transition_factor,
     alpha_brute,
     alpha_diag_unimodular,
     alpha_prime,
     alpha_value,
     appendix_compat,
     factorization_check,
+    gauss_bracket,
     hironaka_coeffs,
     jcount_oracle,
     jfun_n1,
@@ -23,7 +25,7 @@ from hermdens.cdens import (
 )
 from hermdens.errors import BudgetError
 from hermdens.reps import a_t, diagonal, dual_vee, make_monomial
-from hermdens.symb import SL_ONE, SignedRational, npq, qpow
+from hermdens.symb import SL_ONE, SignedLaurent, SignedRational, npq, qpow
 from hermdens.whit import alpha_iwahori_brute, w_density_n1
 
 SAN_PAIRS = [(0, 0), (2, 0), (1, 1), (3, 1), (4, 2)]
@@ -100,6 +102,16 @@ class TestPolynomial:
         # parts of xi above lam[0] + 1 meet no subpartition column
         assert hironaka_coeffs((10 ** 12, 3), (2, 1)) == hironaka_coeffs((3, 3), (2, 1))
 
+    def test_partition_sums_build_one_quotient(self, rational_builds):
+        gauss_bracket.cache_clear()
+        _transition_factor.cache_clear()
+        coeffs = hironaka_coeffs((2, 1, 0), (3, 2, 2))
+        assert rational_builds[0] == 0
+        alpha_value(coeffs, r=1)
+        assert rational_builds[0] == 1
+        alpha_prime(coeffs)
+        assert rational_builds[0] == 2
+
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             hironaka_coeffs((0, 1), (0,))
@@ -107,6 +119,25 @@ class TestPolynomial:
             hironaka_coeffs((0,), (-1,))
         with pytest.raises(ValueError):
             prop_a5_value(2, 0)
+
+
+class TestGaussBracket:
+    def test_matches_reduced_product_quotient(self):
+        # the product form prod (1 - s^-i) over its two lower products, reduced
+        # by the polynomial gcd; the bracket itself runs the q-Pascal rule
+        def units(k):
+            prod = SL_ONE
+            for i in range(1, k + 1):
+                prod = prod * (SL_ONE - npq(-i))
+            return prod
+
+        for u in range(13):
+            for v in range(u + 1):
+                want = SignedRational(units(u), units(v) * units(u - v))
+                got = gauss_bracket(u, v)
+                assert isinstance(got, SignedLaurent) and want.den == SL_ONE, (u, v)
+                assert got == want.num, (u, v)
+            assert gauss_bracket(u, -1).is_zero() and gauss_bracket(u, u + 1).is_zero()
 
 
 class TestRank2Closed:
@@ -236,6 +267,16 @@ class TestJFunctional:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             jfun_n1(3, diagonal((0, 0)))
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_odd_valuation_pins(self, t):
+        # regression pins of the printed value, not intersection numbers: at an
+        # odd determinant valuation no identity above checks jfun_n1
+        pins = {(1, 0): "(s - 2)/(-s + 1)",
+                (3, 0): "(2*s - 3)/(-s + 1)",
+                (2, 1): "(2*s - 3)/(-s + 1)"}
+        for exps, want in pins.items():
+            assert str(jfun_n1(t, diagonal(exps))) == want, exps
 
 
 class TestAppendixCompat:

@@ -86,6 +86,22 @@ def test_rational_canonical_form():
     assert r.den.coeffs[0] == 1
 
 
+def test_equal_values_hash_equal_across_types():
+    # int, Fraction, SignedLaurent and SignedRational compare equal across
+    # types, so a value must hash alike in every type it is written in
+    groups = [[x, Fraction(x), SignedLaurent({0: x}), SignedRational(x)]
+              for x in (0, 3, -1, Fraction(5, 7))]
+    for p in (3 * S ** 2, npq(-4, Fraction(-1, 2)), 2 * S - ONE, S ** 3 + Fraction(1, 3) * S ** -2):
+        groups.append([p, SignedRational(p), SignedRational(p * (S + ONE), S + ONE)])
+    quotient = SignedRational(ONE - S, S + 2 * S ** 2)
+    groups.append([quotient, SignedRational((ONE - S) * (S - 3), (S + 2 * S ** 2) * (S - 3))])
+    for group in groups:
+        for x in group:
+            assert all(x == y for y in group), group
+        assert len({hash(x) for x in group}) == 1, group
+        assert len(set(group)) == 1, group
+
+
 def test_rational_q_plus_one_squared_over_q5():
     Q = SignedRational(qpow(1))
     v = (Q + 1) ** 2 / Q ** 5

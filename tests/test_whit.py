@@ -213,6 +213,16 @@ def test_profile_r_scaling():
             assert value == f_base * SignedRational(npq(2 * r * slope))
 
 
+def test_profile_helpers_build_no_quotient(rational_builds):
+    for h in (0, 1, 2):
+        for Y in n1_forms(-2, 2):
+            prof = WeightProfile(1, h, 1, 0)
+            values = (*profile_f(Y, prof)[::2], f_plain(Y, h), profile_statement(Y, prof),
+                      profile_f_prime(Y, prof))
+            assert all(isinstance(x, SignedLaurent) for x in values), (h, Y)
+    assert rational_builds[0] == 0
+
+
 def test_slope_and_dual_slope():
     for h in (0, 1, 2):
         for Y in n1_forms(-2, 2):
