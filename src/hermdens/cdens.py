@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError
 from .locint import _check_prime, count_solutions
 from .symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, npq, qpow
 
@@ -102,9 +102,8 @@ def _transition_factor(top: int, nxt: int, mj: int, mj1: int) -> SignedLaurent:
     """Factor of column j: top, nxt are parts j, j+1 of lt_c, and mj, mj1 those of mu_c."""
     total = SL_ZERO
     for i in range(mj1, min(nxt, mj) + 1):
+        # i and 2 nxt + 1 - i differ in parity, so their product is even
         twice = i * (2 * nxt + 1 - i)
-        if twice % 2:
-            raise InvariantError(f"odd exponent {twice}/2 at i={i}, next part {nxt}")
         term = gauss_bracket(nxt - mj1, nxt - i) * gauss_bracket(top - i, top - mj)
         total = total + term.shifted(twice // 2)
     return total

@@ -13,13 +13,15 @@ a nonzero rational, an int when integral (symb._div); the form is unique, so
 tuple equality is value equality.
 The gram and profile factors read per-involution plans (_gram_plan,
 _profile_plan), so a term costs one walk over each plan with the exponents.
-One builder (_n1_term) makes the term of each form.  Both density routes
-read the finite box of forms through one walk (_box) and merge its terms
-into sums {(N, A, B): c}.  The exact route puts a merged sum over one
-common denominator and canonicalizes once; the plane beyond the box is
-split into cones, each a geometric series that _cone checks as exponent
-differences before summing it in closed form.  The numeric route evaluates
-each distinct (N, A, B) once at s = -q.
+At n = 1 one kernel (_n1_kernel) tabulates the terms of a (B, profile)
+over an exponent range: a diagonal term is the product of one table per
+axis and the stabilizer's closed form, and the antidiagonal terms are one
+table.  Both density routes read the finite box of forms through one walk
+(_box) and merge its terms into sums {(N, A, B): c}.  The exact route puts
+a merged sum over one common denominator and canonicalizes once; the plane
+beyond the box is split into cones, each a geometric series that _cone
+checks as exponent differences before summing it in closed form.  The
+numeric route evaluates each distinct (N, A, B) once at s = -q.
 
 Derivatives are taken against the lattice scaling variable X = s^{-2r} with
 the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
@@ -29,14 +31,14 @@ the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
 
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_solutions, norm_term, trace_pair_term
 from .reps import MonomialHermitian, WeightProfile, classify
 from .symb import (SL_ONE, SR_ZERO, SignedLaurent, SignedRational, _div, _eval_point, _expand,
-                   _pm_coeffs, _pm_poly, npq)
+                   _pm_coeffs, _pm_poly, _sl, npq)
 
 
 def _min0(x: int) -> int:
@@ -65,7 +67,8 @@ def _numerator(acc: dict, low: tuple) -> SignedLaurent:
     """Sum of the merged terms of acc times s^-N0 (s-1)^-A0 (s+1)^-B0, low = (N0, A0, B0).
 
     low is at most every key's exponents, so each summand is a polynomial;
-    coefficients accumulate as integers over the common denominator of the c.
+    coefficients accumulate as integers over the common denominator of the c,
+    and stay ints when that is 1.
     """
     n0, a0, b0 = low
     den = lcm(*(c.denominator for c in acc.values()))
@@ -75,6 +78,8 @@ def _numerator(acc: dict, low: tuple) -> SignedLaurent:
         for e, x in enumerate(_pm_coeffs(a - a0, b - b0), n - n0):
             if x:
                 out[e] = out.get(e, 0) + k * x
+    if den == 1:
+        return _sl({e: v for e, v in out.items() if v})
     return SignedLaurent({e: Fraction(v, den) for e, v in out.items()})
 
 
@@ -390,27 +395,66 @@ def _close(box: dict, tails: dict) -> SignedRational:
     return SignedRational(num, den)
 
 
-def _n1_term(B: MonomialHermitian, prof: WeightProfile, pt: tuple):
-    """The density term at pt, None when zero: (m1, m2) is a diagonal form and
-    (e,) the antidiagonal (e, e).  Valid by construction, so no make_monomial."""
-    if len(pt) == 2:
-        return _density_term(MonomialHermitian(2, (1, 2), pt), B, prof)
-    return _density_term(MonomialHermitian(2, (2, 1), pt * 2), B, prof)
+def _n1_kernel(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
+    """The n = 1 term function pt -> (c, N, A, B), None when zero, for exponents in [lo, hi].
+
+    (m1, m2) is the diagonal form and (e,) the antidiagonal (e, e); a point
+    outside [lo, hi] raises KeyError.  The gram and profile orbits of a
+    diagonal form each read one exponent, so its term is one table per axis
+    times the stabilizer (s - 1)^2 (-1)^k s^k, whose sign (-1)^(m1 + m2)
+    splits over the axes and whose k depends on the sign of m1 - m2.  The
+    antidiagonal terms are one table from _density_term.
+    """
+    t = prof.t
+    m_weight = 2 - t + 2 * prof.r  # M = 2n - t, plus the X = s^(-2r) scaling
+    span = range(lo, hi + 1)
+
+    def axis(col):
+        slots = [(r1, r2, B.e[k]) for r1, r2, j, k in _gram_plan((1, 2), B.sigma) if j == col]
+        orbits = [o[1:] for o in _profile_plan((1, 2), prof.h) if o[0] == col]
+        table = {}
+        for m in span:
+            n = sum(m_weight * mult * _min0(m) + t * (mult * _min0(m + shift) + t_const)
+                    for mult, shift, t_const in orbits)
+            tm = (-1 if m % 2 else 1, n, 0, 0)
+            for r1, r2, l in slots:
+                f = _slot_factor(r1, r2, m + l)
+                if f is None:
+                    tm = None
+                    break
+                tm = _tmul(tm, f)
+            table[m] = tm
+        return table
+
+    first, second = axis(0), axis(1)
+    anti = {e: _density_term(MonomialHermitian(2, (2, 1), (e, e)), B, prof) for e in span}
+
+    def term(pt):
+        if len(pt) == 1:
+            return anti[pt[0]]
+        m1, m2 = pt
+        x, y = first[m1], second[m2]
+        if x is None or y is None:
+            return None
+        k = m1 + 3 * m2 - 4 if m1 >= m2 else 3 * m1 + m2 - 2
+        return x[0] * y[0], x[1] + y[1] - k, x[2] + y[2] - 2, x[3] + y[3]
+
+    return term
 
 
-def _box(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
-    """Yield (top, slope, term) for each nonzero density term with exponents in [lo, hi].
+def _box(term, lo: int, hi: int):
+    """Yield (top, slope, term) for each nonzero term with exponents in [lo, hi].
 
     The diagonal forms (m1, m2) come first, then the antidiagonal (e, e);
     top is the larger exponent and slope the derivative weight.
     """
     for m1 in range(lo, hi + 1):
         for m2 in range(lo, hi + 1):
-            tm = _n1_term(B, prof, (m1, m2))
+            tm = term((m1, m2))
             if tm is not None:
                 yield max(m1, m2), _min0(m1) + _min0(m2), tm
     for e in range(lo, hi + 1):
-        tm = _n1_term(B, prof, (e,))
+        tm = term((e,))
         if tm is not None:
             yield e, 2 * _min0(e), tm
 
@@ -459,10 +503,11 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0):
         raise BudgetError(f"exact density limited to max|e| * min(r, max|e|) <= "
                           f"{DENSITY_MAX_EXP}, got {spread}")
     K = top + KINK_PAD
-    term = partial(_n1_term, B, prof)
+    # the box, the probes below it and every cone's steps
+    term = _n1_kernel(B, prof, -K - 1, K + 4)
 
     box, dbox = {}, {}
-    for _, slope, tm in _box(B, prof, -K, K):
+    for _, slope, tm in _box(term, -K, K):
         _add(box, 1, tm)
         _add(dbox, slope, tm)
 
@@ -501,10 +546,10 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     if q > NUMERIC_MAX_Q:
         raise BudgetError(f"numeric density limited to q <= {NUMERIC_MAX_Q}, got {q}")
     _check_prime(q)
-    K = top + KINK_PAD
+    lo, hi = -max(e_window + 2, top + KINK_PAD), e_window + 2
 
     inner, ring = ({}, {}), ({}, {})
-    for m, slope, tm in _box(B, prof, -max(e_window + 2, K), e_window + 2):
+    for m, slope, tm in _box(_n1_kernel(B, prof, lo, hi), lo, hi):
         value, deriv = ring if m > e_window else inner
         _add(value, 1, tm)
         _add(deriv, slope, tm)

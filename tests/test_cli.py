@@ -10,11 +10,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermdens import verify
 from hermdens.cli import main
 from hermdens.errors import BudgetError, InvariantError
 from hermdens.locint import ORACLE_MAX_POINTS
+from hermdens.whit import DENSITY_MAX_EXP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -354,10 +356,10 @@ class TestVerifyCommand:
         assert status["after"][0] == "pass"
 
     def test_setup_error_fails_checks_only(self, runner, monkeypatch):
-        # every gram-duality check computes gram_g; none may abort the run
+        # every gram-duality check computes gram_fingerprint; none may abort the run
         def broken(Y, B):
             raise InvariantError("gram product broken")
-        monkeypatch.setattr(verify, "gram_g", broken)
+        monkeypatch.setattr(verify, "gram_fingerprint", broken)
         res = invoke(runner, ["--json", "verify", "--suite", "gram-duality"])
         assert res.exit_code == 1
         assert "internal error" not in res.stderr
@@ -453,11 +455,51 @@ class TestArgumentParsing:
         assert message in res.stderr
 
 
-def run_child(*args):
+def run_child(*args, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=timeout)
+
+
+# exponents at and around the density budget's edges
+_EDGE_EXPS = st.sampled_from((0, 1, -1, DENSITY_MAX_EXP, -DENSITY_MAX_EXP,
+                              DENSITY_MAX_EXP + 1, -DENSITY_MAX_EXP - 1))
+# --r and window ends: small values and powers of ten, the window budget (300) between them
+_LEVELS = st.sampled_from((0, 1, 2, 10, 100, 1000, 10 ** 6, 10 ** 12))
+
+
+@st.composite
+def _wdens_requests(draw):
+    """A wdens command line: symbolic or numeric, a diag or antidiagonal mono form."""
+    if draw(st.booleans()):
+        form = f"diag:{draw(_EDGE_EXPS)},{draw(_EDGE_EXPS)}"
+    else:
+        e = draw(_EDGE_EXPS)
+        form = f"mono:sigma=[2,1];e=[{e},{e}]"
+    args = ["--decimal", "4"] if draw(st.booleans()) else []
+    args += ["wdens", "--h", str(draw(st.integers(0, 2))), "--t", str(draw(st.integers(0, 1))),
+             "--B", form, "--r", str(draw(_LEVELS))]
+    if draw(st.booleans()):
+        args.append("--symbolic")
+    else:
+        args += ["--q", str(draw(st.sampled_from((3, 4, 53, 59)))),
+                 "--emin", str(-draw(_LEVELS)), "--emax", str(draw(_LEVELS))]
+    if draw(st.booleans()):
+        args.append("--derivative")
+    return args
+
+
+class TestContractSample:
+    # each request in its own process, so a hang or a crash cannot hide
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_wdens_requests())
+    def test_wdens_ends_in_answer_or_refusal(self, args):
+        done = run_child("-m", "hermdens.cli", *args, timeout=10)
+        assert done.returncode in (0, 2, 3), (args, done.stderr)
+        assert "Traceback" not in done.stderr and "internal error" not in done.stderr, args
+        if done.returncode == 0:
+            json.loads(done.stdout)
 
 
 class TestStartup:

@@ -370,6 +370,28 @@ def test_factored_term_matches_product():
                             assert whit._expand(got) == want, (Y, B, prof)
 
 
+def test_kernel_matches_per_form_terms():
+    # every point the exact route reads, against the per-form route
+    bs = [diagonal((l1, l2)) for l1 in (-1, 0, 2) for l2 in (-1, 0, 2)]
+    bs += [anti(l) for l in (-1, 0, 2)]
+    for B in bs:
+        K = max(abs(l) for l in B.e) + whit.KINK_PAD
+        span = range(-K - 1, K + 5)
+        for h in (0, 1, 2):
+            for t in (0, 1):
+                for r in (0, 1):
+                    prof = WeightProfile(1, h, t, r)
+                    term = whit._n1_kernel(B, prof, -K - 1, K + 4)
+                    for m1 in span:
+                        for m2 in span:
+                            want = whit._density_term(diagonal((m1, m2)), B, prof)
+                            assert term((m1, m2)) == want, (B, prof, m1, m2)
+                    for e in span:
+                        assert term((e,)) == whit._density_term(anti(e), B, prof), (B, prof, e)
+                    with pytest.raises(KeyError):
+                        term((K + 5, 0))
+
+
 # doubles every diagonal term in the column m1 = K + 3 (K = 5 for diag:0,-1)
 BENT_SCRIPT = """
 import sys
@@ -378,15 +400,20 @@ from hermdens.errors import InvariantError
 from hermdens.reps import diagonal
 # argv: diag|anti, a factor (0 zeroes the term), then the exponents to
 # match, "*" matching any
-sigma = (1, 2) if sys.argv[1] == "diag" else (2, 1)
+# a diagonal point is (m1, m2) and an antidiagonal one (e,), with exponents (e, e)
+arity = 2 if sys.argv[1] == "diag" else 1
 factor, pattern = int(sys.argv[2]), sys.argv[3:]
-plain = whit._density_term
-def bent(Y, B, prof):
-    tm = plain(Y, B, prof)
-    if tm is not None and Y.sigma == sigma and all(w in ("*", str(e)) for w, e in zip(pattern, Y.e)):
-        tm = (factor * tm[0],) + tm[1:] if factor else None
-    return tm
-whit._density_term = bent
+plain = whit._n1_kernel
+def bent_kernel(B, prof, lo, hi):
+    term = plain(B, prof, lo, hi)
+    def bent(pt):
+        tm = term(pt)
+        exps = pt if len(pt) == 2 else pt * 2
+        if tm is not None and len(pt) == arity and all(w in ("*", str(e)) for w, e in zip(pattern, exps)):
+            tm = (factor * tm[0],) + tm[1:] if factor else None
+        return tm
+    return bent
+whit._n1_kernel = bent_kernel
 try:
     whit.w_density_n1(diagonal((0, -1)), 1, 1)
 except InvariantError as exc:
