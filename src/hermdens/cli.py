@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import BudgetError
-from .symb import SignedLaurent, SignedRational
+from .symb import SL_ONE, SignedLaurent, SignedRational, _float
 
 _REGION_NAMES = {"O": "O", "unit": "O_unit", "O_unit": "O_unit",
                  "pi": "piO", "piO": "piO"}
@@ -27,17 +27,27 @@ _REGION_NAMES = {"O": "O", "unit": "O_unit", "O_unit": "O_unit",
 # ---------------------------------------------------------------------------
 # rendering
 
+# no printed integer has over 4300 digits (Python 3.11's int-to-str limit, checked here)
+_PRINT_BOUND = 10 ** 4300
+
+
+def _check_digits(*values) -> None:
+    """BudgetError when an int or Fraction among values would print with over 4300 digits."""
+    if any(not -_PRINT_BOUND < v.numerator < _PRINT_BOUND or v.denominator >= _PRINT_BOUND
+           for v in values):
+        raise BudgetError("output limited to integers of 4300 digits")
+
+
 def to_doc(x):
     """Recursively convert result values into JSON-ready structures."""
-    if isinstance(x, SignedRational):
-        d = x.to_json()
-        d["str"] = str(x)
-        return d
-    if isinstance(x, SignedLaurent):
-        return {"num": x.to_json(), "den": {"0": "1"}, "str": str(x)}
-    if isinstance(x, Fraction):
-        return str(x)
-    if x is None or isinstance(x, (int, float, str)):
+    if isinstance(x, (SignedRational, SignedLaurent)):
+        num, den = (x.num, x.den) if isinstance(x, SignedRational) else (x, SL_ONE)
+        _check_digits(*num.coeffs, *num.coeffs.values(), *den.coeffs, *den.coeffs.values())
+        return {"num": num.to_json(), "den": den.to_json(), "str": str(x)}
+    if isinstance(x, (int, Fraction)):
+        _check_digits(x)
+        return x if isinstance(x, int) else str(x)
+    if x is None or isinstance(x, (float, str)):
         return x
     if isinstance(x, dict):
         return {str(k): to_doc(v) for k, v in x.items()}
@@ -57,7 +67,7 @@ def _attach_decimal(opts, out: dict, at_q: int) -> None:
             x = out[name]
             if isinstance(x, (SignedLaurent, SignedRational)):
                 x = x.evaluate(at_q)
-            block[name] = format(float(x), f".{places}g")
+            block[name] = format(_float(x), f".{places}g")
     out["decimal"] = block
 
 

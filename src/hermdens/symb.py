@@ -245,6 +245,14 @@ def _eval_point(q, degree: int, pad: int = 0) -> Fraction:
     return s
 
 
+def _float(x) -> float:
+    """float(x) for an exact value x; BudgetError when x is outside the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise BudgetError("value outside the float range") from None
+
+
 def _div(a, b):
     """Exact quotient of two int/Fraction coefficients: an int when it is integral."""
     if a.__class__ is int and b.__class__ is int:

@@ -13,15 +13,13 @@ a nonzero rational, an int when integral (symb._div); the form is unique, so
 tuple equality is value equality.
 The gram and profile factors read per-involution plans (_gram_plan,
 _profile_plan), so a term costs one walk over each plan with the exponents.
-At n = 1 one kernel (_n1_kernel) tabulates the terms of a (B, profile)
-over an exponent range: a diagonal term is the product of one table per
-axis and the stabilizer's closed form, and the antidiagonal terms are one
-table.  Both density routes read the finite box of forms through one walk
-(_box) and merge its terms into sums {(N, A, B): c}.  The exact route puts
-a merged sum over one common denominator and canonicalizes once; the plane
-beyond the box is split into cones, each a geometric series that _cone
-checks as exponent differences before summing it in closed form.  The
-numeric route evaluates each distinct (N, A, B) once at s = -q.
+At n = 1 the terms of a (B, profile) come from axis tables (_n1_tables): a
+diagonal term is the product of two entries, and the antidiagonal terms are
+one more table.  Both density routes walk the finite box of forms (_box)
+and merge its terms into sums {(N, A, B): c}; the numeric route evaluates
+each distinct (N, A, B) once at s = -q.  The exact route adds the series
+beyond the box, each read off the tails of the tables (_tail), and puts
+the lot over one common denominator (_close).
 
 Derivatives are taken against the lattice scaling variable X = s^{-2r} with
 the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
@@ -37,8 +35,8 @@ from math import lcm
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_solutions, norm_term, trace_pair_term
 from .reps import MonomialHermitian, WeightProfile, classify
-from .symb import (SL_ONE, SR_ZERO, SignedLaurent, SignedRational, _div, _eval_point, _expand,
-                   _pm_coeffs, _pm_poly, _sl, npq)
+from .symb import (SL_ONE, SL_ZERO, SR_ZERO, SignedLaurent, SignedRational, _div, _eval_point,
+                   _expand, _float, _pm_coeffs, _pm_poly, _sl, npq)
 
 
 def _min0(x: int) -> int:
@@ -324,11 +322,23 @@ def _density_term(Y: MonomialHermitian, B: MonomialHermitian, prof: WeightProfil
     return _div(g[0], a[0]), g[1] + base_exp + 2 * prof.r * slope - a[1], g[2] - a[2], g[3] - a[3]
 
 
-def _ratio(later, first: tuple) -> tuple:
-    if later is None:
+def _tail(table: dict, start: int):
+    """(first, ratio) of the series table[start], table[start + 1], ...; None when it is zero.
+
+    A zero series must stay zero one step on, a nonzero one must not vanish,
+    and its two steps must follow one ratio.
+    """
+    first, nxt = table[start], table[start + 1]
+    if first is None:
+        if nxt is not None:
+            raise InvariantError("tail restarts after a zero")
+        return None
+    if nxt is None:
         raise InvariantError("tail vanishes after a nonzero term")
-    return (_div(later[0], first[0]), later[1] - first[1], later[2] - first[2],
-            later[3] - first[3])
+    rho = _div(nxt[0], first[0]), nxt[1] - first[1], nxt[2] - first[2], nxt[3] - first[3]
+    if table[start + 2] != _tmul(nxt, rho):
+        raise InvariantError("tail is not geometric")
+    return first, rho
 
 
 def _check_contracting(rho: tuple) -> None:
@@ -340,50 +350,20 @@ def _check_contracting(rho: tuple) -> None:
         raise InvariantError(f"tail ratio does not contract: {rho!r}")
 
 
-def _cone(term, start: tuple, gens: tuple, slope: int, tails: dict, dtails: dict) -> None:
-    """Add term summed over start + a g1 (+ b g2), a, b >= 0, to tails as one series.
+def _close(sums: dict) -> SignedRational:
+    """Exact sum of merged geometric series.
 
-    The step along each generator gives its ratio; one step further along
-    each generator and each pair of them must follow the ratios, and each
-    ratio must contract.  The first term goes under the key tuple(rhos),
-    times slope in dtails.  A cone that starts at zero must stay zero.
+    sums maps a tuple of ratios to the merged first terms {(N, A, B): c} of
+    the series sharing them, each series summing to first / prod(1 - ratio);
+    a finite sum is the series with no ratio, ().  Everything goes over one
+    common denominator and is canonicalized once.
     """
-    def at(*steps):
-        return term(tuple(map(sum, zip(start, *steps))))
-
-    first = at()
-    nexts = [at(g) for g in gens]
-    if first is None:
-        if any(tm is not None for tm in nexts):
-            raise InvariantError("tail restarts after a zero")
-        return
-    rhos = tuple(_ratio(tm, first) for tm in nexts)
-    for i, g in enumerate(gens):
-        for j in range(i, len(gens)):
-            if at(g, gens[j]) != _tmul(nexts[i], rhos[j]):
-                raise InvariantError("tail is not geometric")
-    for rho in rhos:
-        _check_contracting(rho)
-    _add(tails.setdefault(rhos, {}), 1, first)
-    if slope:
-        _add(dtails.setdefault(rhos, {}), slope, first)
-
-
-def _close(box: dict, tails: dict) -> SignedRational:
-    """Exact sum of a merged box sum plus the tails.
-
-    box is a merged sum {(N, A, B): c}; tails maps a tuple of ratios to the
-    merged first terms of the series sharing them, each series summing to
-    first / prod(1 - ratio).  Everything goes over one common denominator
-    and is canonicalized once.
-    """
-    keys = [k for part in (box, *tails.values()) for k in part]
+    keys = [k for part in sums.values() for k in part]
     if not keys:
         return SR_ZERO
     low = tuple(min(k[i] for k in keys) for i in (0, 1, 2))
-    num = _numerator(box, low)
-    den = SL_ONE
-    for ratios, group in tails.items():
+    num, den = SL_ZERO, SL_ONE
+    for ratios, group in sums.items():
         prod = SL_ONE
         for c, n, _, _ in ratios:
             prod = prod * (SL_ONE - SignedLaurent.monomial(n, c))
@@ -395,25 +375,26 @@ def _close(box: dict, tails: dict) -> SignedRational:
     return SignedRational(num, den)
 
 
-def _n1_kernel(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
-    """The n = 1 term function pt -> (c, N, A, B), None when zero, for exponents in [lo, hi].
+def _n1_tables(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
+    """The n = 1 terms for exponents in [lo, hi] as ((x, y), (u, v), anti).
 
-    (m1, m2) is the diagonal form and (e,) the antidiagonal (e, e); a point
-    outside [lo, hi] raises KeyError.  The gram and profile orbits of a
-    diagonal form each read one exponent, so its term is one table per axis
-    times the stabilizer (s - 1)^2 (-1)^k s^k, whose sign (-1)^(m1 + m2)
-    splits over the axes and whose k depends on the sign of m1 - m2.  The
-    antidiagonal terms are one table from _density_term.
+    Entries are factored terms, None when zero.  The diagonal form (m1, m2)
+    has the term x[m1] * y[m2] when m1 >= m2 and u[m1] * v[m2] otherwise;
+    anti[e] is the antidiagonal (e, e), from _density_term.  The gram and
+    profile orbits of a diagonal form each read one exponent, and the
+    stabilizer (s - 1)^2 (-1)^k s^k has k = m1 + 3 m2 - 4 when m1 >= m2 and
+    3 m1 + m2 - 2 otherwise, so each half-table takes its axis's entry, the
+    sign (-1)^m and its share of the stabilizer: x and v take s^-m, y takes
+    s^(4 - 3m) (s - 1)^-2 and u takes s^(2 - 3m) (s - 1)^-2.
     """
     t = prof.t
     m_weight = 2 - t + 2 * prof.r  # M = 2n - t, plus the X = s^(-2r) scaling
-    span = range(lo, hi + 1)
 
-    def axis(col):
+    def axis(col, shares):
         slots = [(r1, r2, B.e[k]) for r1, r2, j, k in _gram_plan((1, 2), B.sigma) if j == col]
         orbits = [o[1:] for o in _profile_plan((1, 2), prof.h) if o[0] == col]
-        table = {}
-        for m in span:
+        tables = ({}, {})
+        for m in range(lo, hi + 1):
             n = sum(m_weight * mult * _min0(m) + t * (mult * _min0(m + shift) + t_const)
                     for mult, shift, t_const in orbits)
             tm = (-1 if m % 2 else 1, n, 0, 0)
@@ -423,38 +404,30 @@ def _n1_kernel(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
                     tm = None
                     break
                 tm = _tmul(tm, f)
-            table[m] = tm
-        return table
+            for table, (n0, dn, a0) in zip(tables, shares):
+                table[m] = tm and (tm[0], tm[1] + n0 + dn * m, tm[2] + a0, tm[3])
+        return tables
 
-    first, second = axis(0), axis(1)
-    anti = {e: _density_term(MonomialHermitian(2, (2, 1), (e, e)), B, prof) for e in span}
-
-    def term(pt):
-        if len(pt) == 1:
-            return anti[pt[0]]
-        m1, m2 = pt
-        x, y = first[m1], second[m2]
-        if x is None or y is None:
-            return None
-        k = m1 + 3 * m2 - 4 if m1 >= m2 else 3 * m1 + m2 - 2
-        return x[0] * y[0], x[1] + y[1] - k, x[2] + y[2] - 2, x[3] + y[3]
-
-    return term
+    (x, u), (y, v) = axis(0, ((0, -1, 0), (2, -3, -2))), axis(1, ((4, -3, -2), (0, -1, 0)))
+    anti = {e: _density_term(MonomialHermitian(2, (2, 1), (e, e)), B, prof)
+            for e in range(lo, hi + 1)}
+    return (x, y), (u, v), anti
 
 
-def _box(term, lo: int, hi: int):
-    """Yield (top, slope, term) for each nonzero term with exponents in [lo, hi].
+def _box(tables, lo: int, hi: int):
+    """Yield (top, slope, term) for each nonzero term of _n1_tables with exponents in [lo, hi].
 
     The diagonal forms (m1, m2) come first, then the antidiagonal (e, e);
     top is the larger exponent and slope the derivative weight.
     """
+    (x, y), (u, v), anti = tables
     for m1 in range(lo, hi + 1):
         for m2 in range(lo, hi + 1):
-            tm = term((m1, m2))
-            if tm is not None:
-                yield max(m1, m2), _min0(m1) + _min0(m2), tm
+            a, b = (x[m1], y[m2]) if m1 >= m2 else (u[m1], v[m2])
+            if a is not None and b is not None:
+                yield max(m1, m2), _min0(m1) + _min0(m2), _tmul(a, b)
     for e in range(lo, hi + 1):
-        tm = term((e,))
+        tm = anti[e]
         if tm is not None:
             yield e, 2 * _min0(e), tm
 
@@ -487,10 +460,8 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0):
     """Exact value and prime of the weighted density over all 2x2 forms.
 
     Terms vanish identically below -K and follow exact geometric
-    progressions above +K in each exponent direction, K = max|e| + KINK_PAD.
-    The sum is the box |m| <= K plus one _cone per strip along an axis, per
-    half quadrant (along an axis and the diagonal) and for the antidiagonal
-    forms; four probes check the vanishing below -K.
+    progressions above +K in each exponent direction, K = max|e| + KINK_PAD,
+    so the sum is the box |m| <= K plus geometric series beyond it.
 
     Memoized for the life of the process: verify, jfun_n1 and the bridges
     ask for the same (B, h, t, r) again, and the result is an immutable pair
@@ -503,30 +474,40 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0):
         raise BudgetError(f"exact density limited to max|e| * min(r, max|e|) <= "
                           f"{DENSITY_MAX_EXP}, got {spread}")
     K = top + KINK_PAD
-    # the box, the probes below it and every cone's steps
-    term = _n1_kernel(B, prof, -K - 1, K + 4)
-
-    box, dbox = {}, {}
-    for _, slope, tm in _box(term, -K, K):
-        _add(box, 1, tm)
-        _add(dbox, slope, tm)
-
+    # the box, the zeros below it and two steps of every tail
+    (x, y), (u, v), anti = tables = _n1_tables(B, prof, -K - 1, K + 3)
     # below -K every term dies on a unit-region integral; spot check
-    for probe in ((-K - 1, 0), (0, -K - 1), (-K - 1, K + 1), (-K - 1,)):
-        if term(probe) is not None:
-            raise InvariantError("term survives below the cutoff")
+    if any(table[-K - 1] is not None for table in (x, y, anti)):
+        raise InvariantError("term survives below the cutoff")
 
-    tails: dict = {}
-    dtails: dict = {}
-    for m in range(-K, K + 1):
-        _cone(term, (K + 1, m), ((1, 0),), _min0(m), tails, dtails)
-    for m in range(-K, K + 1):
-        _cone(term, (m, K + 1), ((0, 1),), _min0(m), tails, dtails)
-    _cone(term, (K + 1,), ((1,),), 0, tails, dtails)
-    _cone(term, (K + 1, K + 1), ((1, 0), (1, 1)), 0, tails, dtails)  # m1 >= m2 > K
-    _cone(term, (K + 1, K + 2), ((0, 1), (1, 1)), 0, tails, dtails)  # m2 > m1 > K
+    # every series, the box being the one with no ratio
+    sums, dsums = {}, {}
 
-    return _close(box, tails), _close(dbox, dtails)
+    def series(first, slope, *rhos):
+        _add(sums.setdefault(rhos, {}), 1, first)
+        if slope:
+            _add(dsums.setdefault(rhos, {}), slope, first)
+
+    for _, slope, tm in _box(tables, -K, K):
+        series(tm, slope)
+    # (m1, m2) over m1 > K and over m2 > K, the other exponent in the box
+    tx, tv = _tail(x, K + 1), _tail(v, K + 1)
+    for tail, side in ((tx, y), (tv, u)):
+        if tail:
+            for m in range(-K, K + 1):
+                if side[m] is not None:
+                    series(_tmul(tail[0], side[m]), _min0(m), tail[1])
+    if ta := _tail(anti, K + 1):
+        series(ta[0], 0, ta[1])
+    # m1 >= m2 > K and m2 > m1 > K, each read on its near axis only when its far one lives
+    if ty := tx and _tail(y, K + 1):
+        series(_tmul(tx[0], ty[0]), 0, tx[1], _tmul(tx[1], ty[1]))
+    if tu := tv and _tail(u, K + 1):
+        series(_tmul(tu[0], v[K + 2]), 0, tv[1], _tmul(tu[1], tv[1]))
+    for rhos in sums:
+        for rho in rhos:
+            _check_contracting(rho)
+    return _close(sums), _close(dsums)
 
 
 def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
@@ -549,7 +530,7 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     lo, hi = -max(e_window + 2, top + KINK_PAD), e_window + 2
 
     inner, ring = ({}, {}), ({}, {})
-    for m, slope, tm in _box(_n1_kernel(B, prof, lo, hi), lo, hi):
+    for m, slope, tm in _box(_n1_tables(B, prof, lo, hi), lo, hi):
         value, deriv = ring if m > e_window else inner
         _add(value, 1, tm)
         _add(deriv, slope, tm)
@@ -561,7 +542,7 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
         "derivative": d,
         "tail_report": {
             "window": e_window,
-            "value_shift": float(abs(dv)),
-            "derivative_shift": float(abs(dd)),
+            "value_shift": _float(abs(dv)),
+            "derivative_shift": _float(abs(dd)),
         },
     }

@@ -10,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hermdens import verify
 from hermdens.cli import main
@@ -32,291 +32,282 @@ def run_main(args):
                            stderr=err.getvalue())
 
 
-@pytest.fixture
-def runner():
-    return run_main
-
-
-def invoke(runner, args):
-    return runner(args)
-
-
 def out_json(result):
     return json.loads(result.stdout)
 
 
 class TestIntegral:
-    def test_norm_unit_with_oracle(self, runner):
-        res = invoke(runner, ["integral", "--kind", "norm", "--region", "unit",
-                              "--e", "-1", "--oracle", "--p", "3", "--depth", "4"])
+    def test_norm_unit_with_oracle(self):
+        res = run_main(["integral", "--kind", "norm", "--region", "unit",
+                        "--e", "-1", "--oracle", "--p", "3", "--depth", "4"])
         assert res.exit_code == 0
         doc = out_json(res)
         assert doc["value"]["str"] == "s^-1 - s^-2"
         assert doc["oracle"]["matches"] is True
         assert doc["oracle"]["value"] == "-4/9"
 
-    def test_trace_pair_region_count(self, runner):
-        res = invoke(runner, ["integral", "--kind", "trace_pair",
-                              "--region", "O", "--e", "0"])
+    def test_trace_pair_region_count(self):
+        res = run_main(["integral", "--kind", "trace_pair",
+                        "--region", "O", "--e", "0"])
         assert res.exit_code == 2
 
-    def test_deterministic_output(self, runner):
+    def test_deterministic_output(self):
         args = ["--json", "integral", "--kind", "norm", "--region", "O", "--e", "-2"]
-        a = invoke(runner, args)
-        b = invoke(runner, args)
+        a = run_main(args)
+        b = run_main(args)
         assert a.stdout == b.stdout
         assert a.stdout.count("\n") == 1
 
-    def test_oracle_budget_exit_code(self, runner):
+    def test_oracle_budget_exit_code(self):
         # 1000003^2 residue points: over ORACLE_MAX_POINTS, rejected before any sum
-        res = invoke(runner, ["integral", "--kind", "norm", "--region", "O", "--e", "-1",
-                              "--oracle", "--p", "1000003"])
+        res = run_main(["integral", "--kind", "norm", "--region", "O", "--e", "-1",
+                        "--oracle", "--p", "1000003"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
 
 class TestWdens:
-    def test_symbolic_anchor(self, runner):
-        res = invoke(runner, ["wdens", "--n", "1", "--h", "1", "--t", "1",
-                              "--B", "diag:0,-1", "--symbolic", "--derivative"])
+    def test_symbolic_anchor(self):
+        res = run_main(["wdens", "--n", "1", "--h", "1", "--t", "1",
+                        "--B", "diag:0,-1", "--symbolic", "--derivative"])
         doc = out_json(res)
         assert doc["value"]["str"] == "-s^-3 + 2*s^-4 - s^-5"
         assert doc["derivative"]["str"] == "-s^-4 + s^-5"
 
-    def test_numeric_mode_with_tail(self, runner):
-        res = invoke(runner, ["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
-                              "--q", "3", "--emin", "-20", "--emax", "20"])
+    def test_numeric_mode_with_tail(self):
+        res = run_main(["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
+                        "--q", "3", "--emin", "-20", "--emax", "20"])
         doc = out_json(res)
         got = Fraction(doc["value"])
         assert abs(got - Fraction(16, 243)) < Fraction(1, 10 ** 9)
         assert doc["tail_report"]["value_shift"] < 1e-9
 
-    def test_mode_exclusivity(self, runner):
-        res = invoke(runner, ["wdens", "--h", "1", "--t", "1", "--B", "diag:0,0"])
+    def test_mode_exclusivity(self):
+        res = run_main(["wdens", "--h", "1", "--t", "1", "--B", "diag:0,0"])
         assert res.exit_code == 2
-        res = invoke(runner, ["wdens", "--h", "1", "--t", "1", "--B", "diag:0,0",
-                              "--symbolic", "--q", "3"])
-        assert res.exit_code == 2
-
-    def test_rank_guard(self, runner):
-        res = invoke(runner, ["wdens", "--n", "2", "--h", "1", "--t", "1",
-                              "--B", "diag:0,0,0,0", "--symbolic"])
+        res = run_main(["wdens", "--h", "1", "--t", "1", "--B", "diag:0,0",
+                        "--symbolic", "--q", "3"])
         assert res.exit_code == 2
 
-    def test_bad_form_literal(self, runner):
-        res = invoke(runner, ["wdens", "--h", "1", "--t", "1",
-                              "--B", "nonsense", "--symbolic"])
+    def test_rank_guard(self):
+        res = run_main(["wdens", "--n", "2", "--h", "1", "--t", "1",
+                        "--B", "diag:0,0,0,0", "--symbolic"])
         assert res.exit_code == 2
 
-    def test_symbolic_budget_exit_code(self, runner):
-        res = invoke(runner, ["wdens", "--h", "0", "--t", "1",
-                              "--B", "diag:0,-301", "--symbolic"])
+    def test_bad_form_literal(self):
+        res = run_main(["wdens", "--h", "1", "--t", "1",
+                        "--B", "nonsense", "--symbolic"])
+        assert res.exit_code == 2
+
+    def test_symbolic_budget_exit_code(self):
+        res = run_main(["wdens", "--h", "0", "--t", "1",
+                        "--B", "diag:0,-301", "--symbolic"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
     @pytest.mark.parametrize("b_text,emin", [("diag:1000,0", "-1"), ("diag:0,0", "-301")])
-    def test_numeric_budget_exit_code(self, runner, b_text, emin):
-        res = invoke(runner, ["wdens", "--h", "0", "--t", "1", "--B", b_text,
-                              "--q", "3", "--emin", emin, "--emax", "1"])
+    def test_numeric_budget_exit_code(self, b_text, emin):
+        res = run_main(["wdens", "--h", "0", "--t", "1", "--B", b_text,
+                        "--q", "3", "--emin", emin, "--emax", "1"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
     @pytest.mark.parametrize("q", ["4", "-3", "1", "9"])
-    def test_numeric_q_not_odd_prime(self, runner, q):
-        res = invoke(runner, ["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
-                              "--q", q, "--emin", "-2", "--emax", "2"])
+    def test_numeric_q_not_odd_prime(self, q):
+        res = run_main(["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
+                        "--q", q, "--emin", "-2", "--emax", "2"])
         assert res.exit_code == 2
         assert res.stdout == ""
 
     @pytest.mark.parametrize("q", ["59", "1000000000000000003"])
-    def test_numeric_q_over_limit(self, runner, q):
+    def test_numeric_q_over_limit(self, q):
         # whit.NUMERIC_MAX_Q is checked before the prime check and any sum
-        res = invoke(runner, ["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
-                              "--q", q, "--emin", "-2", "--emax", "2"])
+        res = run_main(["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
+                        "--q", q, "--emin", "-2", "--emax", "2"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
 
 class TestBeta:
-    def test_closed_top_constant(self, runner):
-        res = invoke(runner, ["beta", "--n", "2", "--h", "1", "--closed"])
+    def test_closed_top_constant(self):
+        res = run_main(["beta", "--n", "2", "--h", "1", "--closed"])
         doc = out_json(res)
         assert doc["closed_matches"] is True
         assert len(doc["beta_h"]) == 2
 
-    def test_closed_wrong_level(self, runner):
-        assert invoke(runner, ["beta", "--n", "2", "--h", "2", "--closed"]).exit_code == 2
+    def test_closed_wrong_level(self):
+        assert run_main(["beta", "--n", "2", "--h", "2", "--closed"]).exit_code == 2
 
-    def test_identity_check_numeric(self, runner):
-        res = invoke(runner, ["beta", "--n", "1", "--h", "1", "--verify",
-                              "--B", "diag:1,1", "--q", "3"])
+    def test_identity_check_numeric(self):
+        res = run_main(["beta", "--n", "1", "--h", "1", "--verify",
+                        "--B", "diag:1,1", "--q", "3"])
         doc = out_json(res)
         assert doc["identity"]["match"] is True
         assert doc["identity"]["lhs_at_q"] == doc["identity"]["rhs_at_q"]
 
-    def test_budget_exit_code(self, runner):
-        res = invoke(runner, ["beta", "--n", "9", "--h", "1"])
+    def test_budget_exit_code(self):
+        res = run_main(["beta", "--n", "9", "--h", "1"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
 
 class TestAlpha:
-    def test_coefficients_and_prime(self, runner):
-        res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "0,0", "--prime"])
+    def test_coefficients_and_prime(self):
+        res = run_main(["alpha", "--xi", "1,0", "--lam", "0,0", "--prime"])
         doc = out_json(res)
         assert [c["str"] for c in doc["coefficients"]] == ["1", "-1 - s^-1", "s^-1"]
         assert doc["value"]["str"] == "0"
         assert doc["prime"]["str"] == "1 - s^-1"
 
-    def test_brute_corroboration(self, runner):
-        res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "1,0",
-                              "--brute", "--q", "3", "--d", "2"])
+    def test_brute_corroboration(self):
+        res = run_main(["alpha", "--xi", "1,0", "--lam", "1,0",
+                        "--brute", "--q", "3", "--d", "2"])
         doc = out_json(res)
         assert doc["brute"]["matches"] is True
 
-    def test_pad_parity(self, runner):
-        assert invoke(runner, ["alpha", "--xi", "0", "--lam", "0",
-                               "--pad", "3"]).exit_code == 2
+    def test_pad_parity(self):
+        assert run_main(["alpha", "--xi", "0", "--lam", "0",
+                         "--pad", "3"]).exit_code == 2
 
-    def test_budget_exit_code(self, runner):
-        res = invoke(runner, ["alpha", "--xi", "0,0,0,0", "--lam", "0",
-                              "--brute", "--q", "5", "--d", "3"])
+    def test_budget_exit_code(self):
+        res = run_main(["alpha", "--xi", "0,0,0,0", "--lam", "0",
+                        "--brute", "--q", "5", "--d", "3"])
         assert res.exit_code == 3
 
-    def test_pair_budget_exit_code(self, runner):
-        res = invoke(runner, ["alpha", "--xi", "2,2", "--lam", "2,2",
-                              "--brute", "--q", "3", "--d", "2"])
+    def test_pair_budget_exit_code(self):
+        res = run_main(["alpha", "--xi", "2,2", "--lam", "2,2",
+                        "--brute", "--q", "3", "--d", "2"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
-    def test_long_pad_brute_budget_exit_code(self, runner):
+    def test_long_pad_brute_budget_exit_code(self):
         # the brute budget is checked from len(xi) + pad, so no padded tuple is built
-        res = invoke(runner, ["alpha", "--xi", "0", "--lam", "0", "--pad", "10000000",
-                              "--brute", "--q", "3", "--d", "1"])
+        res = run_main(["alpha", "--xi", "0", "--lam", "0", "--pad", "10000000",
+                        "--brute", "--q", "3", "--d", "1"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
-    def test_prime_check_budget_exit_code(self, runner):
+    def test_prime_check_budget_exit_code(self):
         # a p over locint.PRIME_MAX is rejected before any trial division
-        res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "0,0", "--brute",
-                              "--q", "1000000000000000003", "--d", "1"])
+        res = run_main(["alpha", "--xi", "1,0", "--lam", "0,0", "--brute",
+                        "--q", "1000000000000000003", "--d", "1"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
-    def test_brute_rejects_non_prime(self, runner):
-        res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "1,0",
-                              "--brute", "--q", "4", "--d", "1"])
+    def test_brute_rejects_non_prime(self):
+        res = run_main(["alpha", "--xi", "1,0", "--lam", "1,0",
+                        "--brute", "--q", "4", "--d", "1"])
         assert res.exit_code == 2
         assert res.stdout == ""
 
     @pytest.mark.parametrize("xi,lam", [("0,0,0,0,0,0,0,0", "8,8,8,8,8,8,8,8"),
                                         ("1,1,1,1,1,1", "30,30,30"),
                                         ("0", "0,0,0,0,0,0,0,0,0,0,0,0,0")])
-    def test_partition_sum_budget_exit_code(self, runner, xi, lam):
+    def test_partition_sum_budget_exit_code(self, xi, lam):
         # cdens.HIRONAKA_MAX_TERMS / HIRONAKA_MAX_PARTS, checked before any expansion
-        res = invoke(runner, ["alpha", "--xi", xi, "--lam", lam, "--prime"])
+        res = run_main(["alpha", "--xi", xi, "--lam", lam, "--prime"])
         assert res.exit_code == 3
         assert res.stdout == ""
 
     @pytest.mark.parametrize("d", ["0", "-1"])
-    def test_brute_rejects_depth_below_one(self, runner, d):
-        res = invoke(runner, ["alpha", "--xi", "1,0", "--lam", "0,0",
-                              "--brute", "--q", "3", "--d", d])
+    def test_brute_rejects_depth_below_one(self, d):
+        res = run_main(["alpha", "--xi", "1,0", "--lam", "0,0",
+                        "--brute", "--q", "3", "--d", d])
         assert res.exit_code == 2
         assert res.stdout == ""
 
 
 class TestJfunAndAppendix:
-    def test_assembled_constant(self, runner):
-        res = invoke(runner, ["jfun", "--t", "1", "--B", "diag:2,0"])
+    def test_assembled_constant(self):
+        res = run_main(["jfun", "--t", "1", "--B", "diag:2,0"])
         assert out_json(res)["value"]["str"] == "2"
 
-    def test_appendix_identity(self, runner):
-        res = invoke(runner, ["appendix", "--n", "1", "--B1", "2,0"])
+    def test_appendix_identity(self):
+        res = run_main(["appendix", "--n", "1", "--B1", "2,0"])
         doc = out_json(res)
         assert doc["match"] is True
         assert doc["lhs"] == doc["rhs"]
 
     @pytest.mark.parametrize("n,b1", [("12", "3,3,3,3,3,3,3,3,3,3,3,3,3"),
                                       ("8", "6,6,6,6,6,6,6,6,6")])
-    def test_appendix_budget_exit_code(self, runner, n, b1):
+    def test_appendix_budget_exit_code(self, n, b1):
         # cdens.APPENDIX_MAX_N, then the partition sum budget of its densities
-        res = invoke(runner, ["appendix", "--n", n, "--B1", b1])
+        res = run_main(["appendix", "--n", n, "--B1", b1])
         assert res.exit_code == 3
         assert res.stdout == ""
 
 
 class TestTree:
-    def test_overlapping_case(self, runner):
-        res = invoke(runner, ["tree", "--q", "3", "--mx", "3", "--my", "2", "--d", "1"])
+    def test_overlapping_case(self):
+        res = run_main(["tree", "--q", "3", "--mx", "3", "--my", "2", "--d", "1"])
         doc = out_json(res)
         assert doc["case"] == 3
         assert doc["intersection"] == "3"
         assert doc["r"] == 2
 
-    def test_bucket_components(self, runner):
-        res = invoke(runner, ["tree", "--q", "3", "--mx", "9", "--my", "7",
-                              "--d", "8", "--per-f"])
+    def test_bucket_components(self):
+        res = run_main(["tree", "--q", "3", "--mx", "9", "--my", "7",
+                        "--d", "8", "--per-f"])
         doc = out_json(res)
         assert doc["f_components"] == {"-1": "0", "0": "3", "1": "-3", "2": "4", "3": "0"}
 
-    def test_bucket_shape_guard(self, runner):
-        res = invoke(runner, ["tree", "--q", "3", "--mx", "2", "--my", "2",
-                              "--d", "0", "--per-f"])
+    def test_bucket_shape_guard(self):
+        res = run_main(["tree", "--q", "3", "--mx", "2", "--my", "2",
+                        "--d", "0", "--per-f"])
         assert res.exit_code == 2
 
     @pytest.mark.parametrize("args", [["--q", "3", "--mx", "100000", "--my", "100000", "--d", "2"],
                                       ["--q", "3", "--mx", "501", "--my", "1", "--d", "500"],
                                       ["--q", str(2 ** 31 + 1), "--mx", "3", "--my", "2", "--d", "1"]])
-    def test_budget_exit_code(self, runner, args):
-        res = invoke(runner, ["tree", *args])
+    def test_budget_exit_code(self, args):
+        res = run_main(["tree", *args])
         assert res.exit_code == 3
         assert res.stdout == ""
 
-    def test_engulfed_needs_vdet(self, runner):
-        res = invoke(runner, ["tree", "--q", "3", "--mx", "6", "--my", "1",
-                              "--d", "1", "--vdet", "10"])
+    def test_engulfed_needs_vdet(self):
+        res = run_main(["tree", "--q", "3", "--mx", "6", "--my", "1",
+                        "--d", "1", "--vdet", "10"])
         doc = out_json(res)
         assert doc["case"] == 1
         assert doc["intersection"] == "6"
 
 
 class TestVerifyCommand:
-    def test_suite_pass(self, runner):
-        res = invoke(runner, ["verify", "--suite", "jfun-h0"])
+    def test_suite_pass(self):
+        res = run_main(["verify", "--suite", "jfun-h0"])
         assert res.exit_code == 0
         assert "0 failed" in res.stdout
 
-    def test_json_report_fields(self, runner):
-        res = invoke(runner, ["--json", "verify", "--suite", "jfun-assembly"])
+    def test_json_report_fields(self):
+        res = run_main(["--json", "verify", "--suite", "jfun-assembly"])
         doc = out_json(res)
         assert doc["suite"] == "jfun-assembly"
         assert doc["failed"] == 0
         for c in doc["checks"]:
             assert set(c) == {"id", "anchor", "status", "lhs", "rhs", "elapsed"}
 
-    def test_unknown_suite(self, runner):
-        assert invoke(runner, ["verify", "--suite", "nope"]).exit_code == 2
+    def test_unknown_suite(self):
+        assert run_main(["verify", "--suite", "nope"]).exit_code == 2
 
-    def test_former_alias_rejected(self, runner):
-        res = invoke(runner, ["verify", "--suite", "lemma3_8"])
+    def test_former_alias_rejected(self):
+        res = run_main(["verify", "--suite", "lemma3_8"])
         assert res.exit_code == 2
         assert res.stdout == ""
 
     @pytest.mark.parametrize("q", ["1", "4", "9"])
-    def test_q_not_odd_prime(self, runner, q, monkeypatch):
+    def test_q_not_odd_prime(self, q, monkeypatch):
         ran = []
         monkeypatch.setitem(verify.SUITES, "jfun-h0", lambda rec, q: ran.append(q))
-        res = invoke(runner, ["verify", "--suite", "jfun-h0", "--q", q])
+        res = run_main(["verify", "--suite", "jfun-h0", "--q", q])
         assert res.exit_code == 2
         assert res.stdout == ""
         assert ran == []
 
     @pytest.mark.parametrize("q", ["59", "1000000000000000003"])
-    def test_q_over_limit(self, runner, q, monkeypatch):
+    def test_q_over_limit(self, q, monkeypatch):
         ran = []
         monkeypatch.setitem(verify.SUITES, "jfun-h0", lambda rec, q: ran.append(q))
-        res = invoke(runner, ["verify", "--suite", "jfun-h0", "--q", q])
+        res = run_main(["verify", "--suite", "jfun-h0", "--q", q])
         assert res.exit_code == 3
         assert res.stdout == ""
         assert ran == []
@@ -325,16 +316,16 @@ class TestVerifyCommand:
         # above q = 5 the integrals suite reaches e = -2, that is q^4 residue points
         assert verify.VERIFY_MAX_Q ** 4 <= ORACLE_MAX_POINTS
 
-    def test_failing_suite_exits_one(self, runner, monkeypatch):
+    def test_failing_suite_exits_one(self, monkeypatch):
         def failing(rec, q):
             rec.equal("forced", "test/forced", lambda: (1, 2))
         monkeypatch.setitem(verify.SUITES, "jfun-h0", failing)
-        res = invoke(runner, ["verify", "--suite", "jfun-h0"])
+        res = run_main(["verify", "--suite", "jfun-h0"])
         assert res.exit_code == 1
         assert "[fail]" in res.stdout
         assert "internal error" not in res.stderr
 
-    def test_check_error_recorded_as_failure(self, runner, monkeypatch):
+    def test_check_error_recorded_as_failure(self, monkeypatch):
         def raising(rec, q):
             def over_budget():
                 raise BudgetError("too many pairs")
@@ -345,7 +336,7 @@ class TestVerifyCommand:
             rec.sweep("broken", "test/errors", broken())
             rec.equal("after", "test/errors", lambda: (1, 1))
         monkeypatch.setitem(verify.SUITES, "jfun-h0", raising)
-        res = invoke(runner, ["--json", "verify", "--suite", "jfun-h0"])
+        res = run_main(["--json", "verify", "--suite", "jfun-h0"])
         assert res.exit_code == 1
         assert "internal error" not in res.stderr
         doc = out_json(res)
@@ -355,12 +346,12 @@ class TestVerifyCommand:
         assert status["broken"] == ("fail", "InvariantError: tail is not geometric")
         assert status["after"][0] == "pass"
 
-    def test_setup_error_fails_checks_only(self, runner, monkeypatch):
+    def test_setup_error_fails_checks_only(self, monkeypatch):
         # every gram-duality check computes gram_fingerprint; none may abort the run
         def broken(Y, B):
             raise InvariantError("gram product broken")
         monkeypatch.setattr(verify, "gram_fingerprint", broken)
-        res = invoke(runner, ["--json", "verify", "--suite", "gram-duality"])
+        res = run_main(["--json", "verify", "--suite", "gram-duality"])
         assert res.exit_code == 1
         assert "internal error" not in res.stderr
         doc = out_json(res)
@@ -371,28 +362,28 @@ class TestVerifyCommand:
         for c in doc["checks"]:
             assert c["lhs"] == "InvariantError: gram product broken"
 
-    def test_brute_spot_within_budget_at_q5(self, runner):
-        res = invoke(runner, ["--json", "verify", "--suite", "partition-sums", "--q", "5"])
+    def test_brute_spot_within_budget_at_q5(self):
+        res = run_main(["--json", "verify", "--suite", "partition-sums", "--q", "5"])
         assert res.exit_code == 0
         ids = [c["id"] for c in out_json(res)["checks"]]
         assert "brute-spot[xi=1,0;lam=1;p=5,d=2]" in ids
 
 
 class TestGlobalOptions:
-    def test_only_json_and_decimal(self, runner, tmp_path, monkeypatch):
+    def test_only_json_and_decimal(self, tmp_path, monkeypatch):
         # --json and --decimal are the only settings; no file or environment variable sets them
         for removed in (["--cache", str(tmp_path / "c.jsonl")],
                         ["--config", str(tmp_path / "conf")],
                         ["--jobs", "2"]):
-            res = invoke(runner, [*removed, "jfun", "--t", "1", "--B", "diag:0,0"])
+            res = run_main([*removed, "jfun", "--t", "1", "--B", "diag:0,0"])
             assert res.exit_code == 2
             assert res.stdout == ""
         args = ["--json", "jfun", "--t", "1", "--B", "diag:0,0"]
-        plain = invoke(runner, args)
+        plain = run_main(args)
         conf = tmp_path / "conf"
         conf.write_text("decimal=3\n")
         monkeypatch.setenv("HERMDENS_CONFIG", str(conf))
-        res = invoke(runner, args)
+        res = run_main(args)
         assert res.exit_code == 0
         assert res.stdout == plain.stdout
 
@@ -409,14 +400,14 @@ class TestArgumentParsing:
         ["integral", "--kind", "norm", "--region", "units", "--e", "0"],
         ["tree", "--q", "three", "--mx", "3", "--my", "2", "--d", "1"],
     ])
-    def test_usage_errors_exit_two(self, runner, args):
-        res = invoke(runner, args)
+    def test_usage_errors_exit_two(self, args):
+        res = run_main(args)
         assert res.exit_code == 2
         assert res.stdout == ""
 
-    def test_region_repeats(self, runner):
-        res = invoke(runner, ["integral", "--kind", "trace_pair", "--region", "O",
-                              "--region", "unit", "--e", "2"])
+    def test_region_repeats(self):
+        res = run_main(["integral", "--kind", "trace_pair", "--region", "O",
+                        "--region", "unit", "--e", "2"])
         assert res.exit_code == 0
         assert out_json(res)["request"]["regions"] == ["O", "O_unit"]
 
@@ -426,10 +417,10 @@ class TestArgumentParsing:
         ["--decimal", "4", "wdens", "--B", "diag:0,-1", "--h", "1", "--t", "1",
          "--symbolic", "--r", "100000000"],
     ])
-    def test_decimal_evaluation_budget(self, runner, args):
+    def test_decimal_evaluation_budget(self, args):
         # symb.EVAL_MAX_BITS is checked before any power of q is built
         t0 = time.perf_counter()
-        res = invoke(runner, args)
+        res = run_main(args)
         assert time.perf_counter() - t0 < 2
         assert res.exit_code == 3
         assert res.stdout == ""
@@ -446,13 +437,47 @@ class TestArgumentParsing:
         (["beta", "--n", "1", "--h", "1", "--verify", "--B", "diag:300,300", "--q", "53"],
          "max|e| <= 300, got 301"),
     ])
-    def test_density_budget_before_work(self, runner, args, message):
+    def test_density_budget_before_work(self, args, message):
         t0 = time.perf_counter()
-        res = invoke(runner, args)
+        res = run_main(args)
         assert time.perf_counter() - t0 < 2
         assert res.exit_code == 3
         assert res.stdout == ""
         assert message in res.stderr
+
+
+# each exits 3: a value at q = 53 outside the float range (the tail report,
+# the tail report again, --decimal), an integer of over 4300 digits in the
+# intersection number, and in the exponents of the symbolic density
+OVERSIZED = (
+    ["wdens", "--B", "diag:200,300", "--h", "0", "--t", "0", "--q", "53", "--emin", "0",
+     "--emax", "0"],
+    ["wdens", "--B", "diag:300,300", "--h", "0", "--t", "1", "--q", "53", "--emin", "0",
+     "--emax", "20"],
+    ["--decimal", "4", "wdens", "--B", "diag:200,300", "--h", "0", "--t", "1", "--q", "53",
+     "--emin", "0", "--emax", "20", "--derivative"],
+    ["tree", "--q", "2147483647", "--mx", "500", "--my", "500", "--d", "0"],
+    ["wdens", "--B", "diag:0,-1", "--h", "1", "--t", "1", "--symbolic", "--r", "9" * 4300],
+)
+
+
+class TestOversizedValues:
+    @pytest.mark.parametrize("args", OVERSIZED, ids=["tail-value", "tail-derivative",
+                                                     "decimal", "tree-digits", "exponent-digits"])
+    def test_exit_three(self, args):
+        res = run_main(args)
+        assert res.exit_code == 3, res.stderr
+        assert res.stdout == ""
+        assert "float range" in res.stderr or "4300 digits" in res.stderr
+
+    def test_longest_integers_still_print(self):
+        # 4300 digits print; the refusal starts at 10^4300
+        from hermdens.cli import to_doc
+
+        assert to_doc([10 ** 4300 - 1, Fraction(1, 10 ** 4300 - 1)])[0] == 10 ** 4300 - 1
+        for big in (10 ** 4300, -10 ** 4300, Fraction(1, 10 ** 4300)):
+            with pytest.raises(BudgetError, match="4300 digits"):
+                to_doc({"value": big})
 
 
 def run_child(*args, timeout=120):
@@ -462,9 +487,10 @@ def run_child(*args, timeout=120):
                           timeout=timeout)
 
 
-# exponents at and around the density budget's edges
-_EDGE_EXPS = st.sampled_from((0, 1, -1, DENSITY_MAX_EXP, -DENSITY_MAX_EXP,
-                              DENSITY_MAX_EXP + 1, -DENSITY_MAX_EXP - 1))
+# exponents at and around the density budget's edges, or anywhere inside it
+_EXPS = st.one_of(st.sampled_from((0, 1, -1, DENSITY_MAX_EXP, -DENSITY_MAX_EXP,
+                                   DENSITY_MAX_EXP + 1, -DENSITY_MAX_EXP - 1)),
+                  st.integers(-DENSITY_MAX_EXP, DENSITY_MAX_EXP))
 # --r and window ends: small values and powers of ten, the window budget (300) between them
 _LEVELS = st.sampled_from((0, 1, 2, 10, 100, 1000, 10 ** 6, 10 ** 12))
 
@@ -473,15 +499,19 @@ _LEVELS = st.sampled_from((0, 1, 2, 10, 100, 1000, 10 ** 6, 10 ** 12))
 def _wdens_requests(draw):
     """A wdens command line: symbolic or numeric, a diag or antidiagonal mono form."""
     if draw(st.booleans()):
-        form = f"diag:{draw(_EDGE_EXPS)},{draw(_EDGE_EXPS)}"
+        form = f"diag:{draw(_EXPS)},{draw(_EXPS)}"
     else:
-        e = draw(_EDGE_EXPS)
+        e = draw(_EXPS)
         form = f"mono:sigma=[2,1];e=[{e},{e}]"
     args = ["--decimal", "4"] if draw(st.booleans()) else []
     args += ["wdens", "--h", str(draw(st.integers(0, 2))), "--t", str(draw(st.integers(0, 1))),
              "--B", form, "--r", str(draw(_LEVELS))]
     if draw(st.booleans()):
         args.append("--symbolic")
+    elif draw(st.booleans()):
+        # short windows at the largest prime, where values leave the float range
+        args += ["--q", "53", "--emin", str(-draw(st.integers(0, 20))),
+                 "--emax", str(draw(st.integers(0, 20)))]
     else:
         args += ["--q", str(draw(st.sampled_from((3, 4, 53, 59)))),
                  "--emin", str(-draw(_LEVELS)), "--emax", str(draw(_LEVELS))]
@@ -490,16 +520,43 @@ def _wdens_requests(draw):
     return args
 
 
+# radii and distance around the tree budget (500), q around 2^31 and at 2, 3
+_TREE_SIZES = st.sampled_from((0, 1, 499, 500, 501))
+
+
+@st.composite
+def _tree_requests(draw):
+    q = draw(st.sampled_from((2, 3, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1)))
+    return ["tree", "--q", str(q), "--mx", str(draw(_TREE_SIZES)),
+            "--my", str(draw(_TREE_SIZES)), "--d", str(draw(_TREE_SIZES))]
+
+
+def _ends_in_answer_or_refusal(args):
+    # in its own process, so a hang or a crash cannot hide
+    done = run_child("-m", "hermdens.cli", *args, timeout=10)
+    assert done.returncode in (0, 2, 3), (args, done.stderr)
+    assert "Traceback" not in done.stderr and "internal error" not in done.stderr, args
+    # Python's own int-to-str limit is not a bad request
+    assert "Exceeds the limit" not in done.stderr, args
+    if done.returncode == 0:
+        json.loads(done.stdout)
+
+
 class TestContractSample:
-    # each request in its own process, so a hang or a crash cannot hide
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(_wdens_requests())
+    @example(OVERSIZED[0])
+    @example(OVERSIZED[1])
+    @example(OVERSIZED[2])
+    @example(OVERSIZED[4])
     def test_wdens_ends_in_answer_or_refusal(self, args):
-        done = run_child("-m", "hermdens.cli", *args, timeout=10)
-        assert done.returncode in (0, 2, 3), (args, done.stderr)
-        assert "Traceback" not in done.stderr and "internal error" not in done.stderr, args
-        if done.returncode == 0:
-            json.loads(done.stdout)
+        _ends_in_answer_or_refusal(args)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_tree_requests())
+    @example(OVERSIZED[3])
+    def test_tree_ends_in_answer_or_refusal(self, args):
+        _ends_in_answer_or_refusal(args)
 
 
 class TestStartup:

@@ -371,49 +371,44 @@ def test_factored_term_matches_product():
 
 
 def test_kernel_matches_per_form_terms():
-    # every point the exact route reads, against the per-form route
+    # every table entry the exact route reads, against the per-form route
     bs = [diagonal((l1, l2)) for l1 in (-1, 0, 2) for l2 in (-1, 0, 2)]
     bs += [anti(l) for l in (-1, 0, 2)]
     for B in bs:
         K = max(abs(l) for l in B.e) + whit.KINK_PAD
-        span = range(-K - 1, K + 5)
+        span = range(-K - 1, K + 4)
         for h in (0, 1, 2):
             for t in (0, 1):
                 for r in (0, 1):
                     prof = WeightProfile(1, h, t, r)
-                    term = whit._n1_kernel(B, prof, -K - 1, K + 4)
+                    (x, y), (u, v), anti_table = whit._n1_tables(B, prof, -K - 1, K + 3)
                     for m1 in span:
                         for m2 in span:
+                            a, b = (x[m1], y[m2]) if m1 >= m2 else (u[m1], v[m2])
+                            got = None if a is None or b is None else whit._tmul(a, b)
                             want = whit._density_term(diagonal((m1, m2)), B, prof)
-                            assert term((m1, m2)) == want, (B, prof, m1, m2)
+                            assert got == want, (B, prof, m1, m2)
                     for e in span:
-                        assert term((e,)) == whit._density_term(anti(e), B, prof), (B, prof, e)
-                    with pytest.raises(KeyError):
-                        term((K + 5, 0))
+                        assert anti_table[e] == whit._density_term(anti(e), B, prof), (B, prof, e)
+                    assert set(x) == set(anti_table) == set(span)
 
 
-# doubles every diagonal term in the column m1 = K + 3 (K = 5 for diag:0,-1)
+# bends one entry of one _n1_tables table for diag:0,-1, where K = 5
 BENT_SCRIPT = """
 import sys
 from hermdens import whit
 from hermdens.errors import InvariantError
 from hermdens.reps import diagonal
-# argv: diag|anti, a factor (0 zeroes the term), then the exponents to
-# match, "*" matching any
-# a diagonal point is (m1, m2) and an antidiagonal one (e,), with exponents (e, e)
-arity = 2 if sys.argv[1] == "diag" else 1
-factor, pattern = int(sys.argv[2]), sys.argv[3:]
-plain = whit._n1_kernel
-def bent_kernel(B, prof, lo, hi):
-    term = plain(B, prof, lo, hi)
-    def bent(pt):
-        tm = term(pt)
-        exps = pt if len(pt) == 2 else pt * 2
-        if tm is not None and len(pt) == arity and all(w in ("*", str(e)) for w, e in zip(pattern, exps)):
-            tm = (factor * tm[0],) + tm[1:] if factor else None
-        return tm
-    return bent
-whit._n1_kernel = bent_kernel
+# argv: the table (x, y, u, v or anti), a factor (0 zeroes the entry) and its exponent
+name, factor, m = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+plain = whit._n1_tables
+def bent_tables(B, prof, lo, hi):
+    (x, y), (u, v), anti = tables = plain(B, prof, lo, hi)
+    table = dict(x=x, y=y, u=u, v=v, anti=anti)[name]
+    tm = table[m]
+    table[m] = (factor * tm[0],) + tm[1:] if factor else None
+    return tables
+whit._n1_tables = bent_tables
 try:
     whit.w_density_n1(diagonal((0, -1)), 1, 1)
 except InvariantError as exc:
@@ -434,18 +429,22 @@ def _run_bent(flags, *mutation):
 
 @pytest.mark.parametrize("flags,optimize", [([], 0), (["-O"], 1)])
 def test_non_geometric_tail_raises(flags, optimize):
-    # the column m1 = K + 3 of diag:0,-1 (K = 5), read by every (1, 0) strip
-    assert _run_bent(flags, "diag", "2", "8", "*") == f"raised {optimize} tail is not geometric"
+    # x at m1 = K + 3, the second step of the tail every strip along m1 reads
+    assert _run_bent(flags, "x", "2", "8") == f"raised {optimize} tail is not geometric"
 
 
-# each mutation of diag:0,-1 (K = 5) is read by one kind of cone only
+# each names the series that first reads the entry: the strips along m1 (x)
+# or m2 (v), the half quadrants m1 >= m2 > K (x and y) and m2 > m1 > K
+# (u and v), and the antidiagonal
 CONE_MUTATIONS = {
-    "quadrant-1-far": (("diag", "2", "8", "8"), "tail is not geometric"),
-    "quadrant-1-mixed": (("diag", "2", "8", "7"), "tail is not geometric"),
-    "quadrant-2-far": (("diag", "2", "8", "9"), "tail is not geometric"),
-    "antidiagonal-far": (("anti", "2", "8", "8"), "tail is not geometric"),
-    "quadrant-start": (("diag", "0", "6", "6"), "tail restarts after a zero"),
-    "strip-start": (("diag", "0", "6", "0"), "tail restarts after a zero"),
+    "quadrant-1-far": (("y", "2", "8"), "tail is not geometric"),
+    "quadrant-1-mixed": (("y", "2", "7"), "tail is not geometric"),
+    "quadrant-2-far": (("u", "2", "8"), "tail is not geometric"),
+    "strip-2-far": (("v", "2", "8"), "tail is not geometric"),
+    "antidiagonal-far": (("anti", "2", "8"), "tail is not geometric"),
+    "quadrant-start": (("y", "0", "6"), "tail restarts after a zero"),
+    "strip-start": (("x", "0", "6"), "tail restarts after a zero"),
+    "strip-next": (("x", "0", "7"), "tail vanishes after a nonzero term"),
 }
 
 
@@ -457,12 +456,12 @@ def test_mutated_cone_raises(flags, optimize, name):
 
 
 def test_cone_keys_first_term_by_its_ratios():
-    tails, dtails = {}, {}
-    whit._cone(lambda pt: (3, -pt[0] - 2 * pt[1], 0, 0), (1, 0), ((1, 0), (0, 1)), 2, tails, dtails)
-    rhos = ((1, -1, 0, 0), (1, -2, 0, 0))
-    assert tails == {rhos: {(-1, 0, 0): 3}} and dtails == {rhos: {(-1, 0, 0): 6}}
+    table = {m: (3, -m, 0, 0) for m in (1, 2, 3)}
+    assert whit._tail(table, 1) == ((3, -1, 0, 0), (1, -1, 0, 0))
+    assert whit._tail({1: None, 2: None}, 1) is None
+    _, rho = whit._tail({m: (1, m, 0, 0) for m in (1, 2, 3)}, 1)
     with pytest.raises(InvariantError, match="does not contract"):
-        whit._cone(lambda pt: (1, pt[0], 0, 0), (1,), ((1,),), 0, {}, {})
+        whit._check_contracting(rho)
 
 
 def test_density_truncated_report():
@@ -526,15 +525,15 @@ def test_close_merged_sum_with_cancellation():
         whit._add(first, 1, tm)
     assert len(box) == 3 and len(first) == 1
     want = sum((whit._expand(tm) for tm in terms), SignedRational(0))
-    assert whit._close(box, {}) == want
+    assert whit._close({(): box}) == want
     series = sum((whit._expand(tm) for tm in group), SignedRational(0))
     series = series / SignedRational(SL_ONE - SignedLaurent.monomial(-2, -1))
-    assert whit._close(box, {(rho,): first}) == want + series
+    assert whit._close({(): box, (rho,): first}) == want + series
 
     # weights enter as multipliers, and a sum that cancels entirely is zero
     acc = {}
     whit._add(acc, 2, (3, 1, 0, -1))
     whit._add(acc, -3, (2, 1, 0, -1))
     assert acc == {}
-    assert whit._close(acc, {}) == SR_ZERO
-    assert whit._close({}, {(rho,): acc}) == SR_ZERO
+    assert whit._close({(): acc}) == SR_ZERO
+    assert whit._close({(rho,): acc}) == SR_ZERO
