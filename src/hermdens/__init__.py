@@ -8,7 +8,9 @@ Modules:
     beta    correction constant linear systems and closed forms
     cdens   classical representation densities and derivative identities
     tree    intersection numbers on the (q+1)-regular lattice tree
-    cli     command line interface and verification harness
+    verify  the identity suites behind the verify command
+    cli     command line interface
+    errors  BudgetError and InvariantError
 """
 
 from .symb import (

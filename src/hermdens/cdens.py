@@ -278,11 +278,6 @@ def thm42_display(a: int, b: int) -> dict:
 # compatibility layer: density products against the classical polynomials
 
 
-# appendix --n; its correction constant also needs n <= beta.SOLVE_MAX_N, and
-# its partition sums stay within the hironaka_coeffs limits
-APPENDIX_MAX_N = 8
-
-
 def appendix_compat(n: int, b1_exps: Sequence[int]) -> dict:
     """Cross-check the bottom-rank derivative identity on split forms.
 
@@ -290,10 +285,10 @@ def appendix_compat(n: int, b1_exps: Sequence[int]) -> dict:
     full form appends pi^-1 unit blocks which the product formulas absorb.
     Returns both sides of the identity together with the three densities.
     """
-    from .beta import solve_constants
+    from .beta import _check_system, solve_constants
 
-    if n > APPENDIX_MAX_N:
-        raise BudgetError(f"appendix identity limited to n <= {APPENDIX_MAX_N}, got n={n}")
+    # the constant's system sets the one limit on n, before any partition sum
+    _check_system(n, n - 1)
     b1 = _check_partition(tuple(sorted(b1_exps, reverse=True)), "b1")
     if len(b1) != n + 1:
         raise ValueError(f"top block must have size n+1 = {n + 1}")

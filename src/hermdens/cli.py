@@ -27,8 +27,10 @@ _REGION_NAMES = {"O": "O", "unit": "O_unit", "O_unit": "O_unit",
 # ---------------------------------------------------------------------------
 # rendering
 
-# no printed integer has over 4300 digits (Python 3.11's int-to-str limit, checked here)
-_PRINT_BOUND = 10 ** 4300
+# no printed integer has over 4300 digits (Python 3.11's int-to-str limit, checked here),
+# and --decimal K takes K up to the same bound
+_MAX_DIGITS = 4300
+_PRINT_BOUND = 10 ** _MAX_DIGITS
 
 
 def _check_digits(*values) -> None:
@@ -56,8 +58,33 @@ def to_doc(x):
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
+def _decimal(x: Fraction, k: int) -> str:
+    """x rounded half-even to k >= 1 significant digits, laid out as format(float, f".{k}g")."""
+    if not x:
+        return "0"
+    sign, x = ("-" if x < 0 else ""), abs(x)
+    # 10^exp <= x < 10^(exp + 1); the bit lengths put exp within one of its value
+    exp = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    while Fraction(10) ** exp > x:
+        exp -= 1
+    while Fraction(10) ** (exp + 1) <= x:
+        exp += 1
+    digits = round(x / Fraction(10) ** (exp - k + 1))
+    if digits == 10 ** k:  # rounding carried into one more digit
+        digits, exp = digits // 10, exp + 1
+    text = str(digits)
+    if -4 <= exp < k:
+        point = "0." + "0" * (-exp - 1) + text if exp < 0 else text[:exp + 1] + "." + text[exp + 1:]
+        return sign + point.rstrip("0").rstrip(".")
+    mantissa = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
+    return f"{sign}{mantissa}e{'-' if exp < 0 else '+'}{abs(exp):02d}"
+
+
 def _attach_decimal(opts, out: dict, at_q: int) -> None:
-    """With --decimal K, add K-digit display strings of the exact value (and derivative) at q."""
+    """With --decimal K, add K-digit display strings of the exact value (and derivative) at q.
+
+    The digits are exact, but a value outside the float range is still refused (BudgetError).
+    """
     places = opts.decimal
     if not places:
         return
@@ -67,7 +94,8 @@ def _attach_decimal(opts, out: dict, at_q: int) -> None:
             x = out[name]
             if isinstance(x, (SignedLaurent, SignedRational)):
                 x = x.evaluate(at_q)
-            block[name] = format(_float(x), f".{places}g")
+            _float(x)
+            block[name] = _decimal(Fraction(x), places)
     out["decimal"] = block
 
 
@@ -361,7 +389,8 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
         description="Exact densities, correction constants and tree intersections.")
     parser.add_argument("--json", action="store_true", help="Compact single-line JSON output.")
     parser.add_argument("--decimal", type=int, default=0, metavar="K",
-                        help="Attach K significant digit decimals (display only).")
+                        help=f"Attach decimals rounded to K <= {_MAX_DIGITS} significant "
+                             "digits (display only).")
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
     commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
                                      required=True)
@@ -381,8 +410,8 @@ def main(args=None, prog_name=None):
     """
     parser = _parser(prog_name)
     opts = parser.parse_args(args)
-    if opts.decimal < 0:
-        parser.error("--decimal must be nonnegative")
+    if not 0 <= opts.decimal <= _MAX_DIGITS:
+        parser.error(f"--decimal takes K from 0 to {_MAX_DIGITS}")
     sys.exit(_guard(lambda: opts.run(opts)))
 
 

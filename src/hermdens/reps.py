@@ -63,13 +63,6 @@ def diagonal(exps) -> MonomialHermitian:
     return make_monomial(tuple(range(1, len(exps) + 1)), exps)
 
 
-def a_t(n: int, t: int) -> MonomialHermitian:
-    """A_t = diag(1_{2n-t}, pi^{-1} 1_t)."""
-    if not 0 <= t <= 2 * n:
-        raise ValueError(f"need 0 <= t <= 2n, got t={t}, n={n}")
-    return diagonal((0,) * (2 * n - t) + (-1,) * t)
-
-
 _MONO_RE = re.compile(r"^mono:sigma=\[([0-9,\s-]*)\];e=\[([0-9,\s-]*)\]$")
 
 

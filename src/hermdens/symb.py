@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 
 # a term c s^e at s = -q is a number of about |e| log2(q) bits; _eval_point
 # refuses a term over this size before any power is built, for
@@ -57,20 +57,6 @@ class SignedLaurent:
                     clean[int(exp)] = c
         self.coeffs = clean
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def monomial(cls, exp: int = 0, coeff=1) -> "SignedLaurent":
-        return cls({exp: coeff})
-
-    @classmethod
-    def zero(cls) -> "SignedLaurent":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "SignedLaurent":
-        return cls({0: 1})
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -79,17 +65,9 @@ class SignedLaurent:
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
 
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponent range")
-        return min(self.coeffs)
-
     def shifted(self, k: int) -> "SignedLaurent":
         """Multiply by s^k."""
         return SignedLaurent({e + k: c for e, c in self.coeffs.items()})
-
-    def scaled(self, c) -> "SignedLaurent":
-        return self * SignedLaurent({0: c})
 
     # -- ring operations ----------------------------------------------
 
@@ -157,7 +135,7 @@ class SignedLaurent:
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
             (e, c), = self.coeffs.items()
             return SignedLaurent({e * n: Fraction(c) ** n})
-        result = SignedLaurent.one()
+        result = SL_ONE
         base = self
         k = n
         while k:
@@ -192,10 +170,6 @@ class SignedLaurent:
 
     def to_json(self) -> dict:
         return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SignedLaurent":
-        return cls({int(e): Fraction(c) for e, c in data.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -305,10 +279,10 @@ def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
 
 
 def _pdivexact(a: dict, b: dict) -> dict:
-    # exact quotient a / b; raises if not divisible
+    # exact quotient a / b; InvariantError if not divisible
     out, rem = _pdivmod(a, b)
     if rem:
-        raise ArithmeticError("inexact polynomial division")
+        raise InvariantError("inexact polynomial division")
     return out
 
 
@@ -328,14 +302,14 @@ class SignedRational:
 
     def __init__(self, num, den=None):
         num = _as_sl(num)
-        den = SignedLaurent.one() if den is None else _as_sl(den)
+        den = SL_ONE if den is None else _as_sl(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("SignedRational parts must be SignedLaurent, int or Fraction")
         if den.is_zero():
             raise ZeroDivisionError("SignedRational with zero denominator")
         if num.is_zero():
             self.num = SignedLaurent()
-            self.den = SignedLaurent.one()
+            self.den = SL_ONE
             return
         sn, pn = _strip(num.coeffs)
         sd, pd = _strip(den.coeffs)
@@ -441,13 +415,8 @@ class SignedRational:
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SignedRational":
-        return cls(SignedLaurent.from_json(data["num"]),
-                   SignedLaurent.from_json(data["den"]))
-
     def __repr__(self):
-        if self.den == SignedLaurent.one():
+        if self.den == SL_ONE:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
@@ -516,17 +485,16 @@ def sr_solve_linear(matrix, rhs) -> list[SignedRational]:
 
 def npq(k: int, coeff=1) -> SignedLaurent:
     """(-q)^k as a monomial, optionally scaled."""
-    return SignedLaurent.monomial(k, coeff)
+    return SignedLaurent({k: coeff})
 
 
 def qpow(k: int, coeff=1) -> SignedLaurent:
     """q^k = (-1)^k s^k, optionally scaled."""
-    return SignedLaurent.monomial(k, -coeff if k % 2 else coeff)
+    return SignedLaurent({k: -coeff if k % 2 else coeff})
 
 
-SL_ONE = SignedLaurent.one()
-SL_ZERO = SignedLaurent.zero()
-SR_ONE = SignedRational(1)
+SL_ONE = SignedLaurent({0: 1})
+SL_ZERO = SignedLaurent()
 SR_ZERO = SignedRational(0)
 
 

@@ -159,33 +159,25 @@ def fk_buckets(inst: TreeInstance) -> dict[int, Fraction]:
 
 
 def bfs_census(q: int, d: int, rx: int, ry: int) -> dict[tuple[int, int], int]:
-    """Literal tree walk counting vertices by distance pair, for small radii."""
+    """Literal tree walk counting vertices by distance pair, for small radii.
+
+    Vertices are reduced words in the letters 0..q (no letter twice in a
+    row).  The first center is the empty word, the second is 0101... of
+    length d, and a word meets it in its common prefix k, so its distances
+    are len(w) and len(w) + d - 2k.  The walk grows words up to length rx.
+    """
     if q ** max(rx, ry) > 10 ** 5:
         raise BudgetError("census budget exceeded")
+    center = [i % 2 for i in range(min(d, rx))]
     census: dict[tuple[int, int], int] = {}
-    # nodes: (d1, d2, kind) seeds along the geodesic, then uniform growth
-    frontier: list[tuple[int, int, int]] = []
-    for u in range(d + 1):
-        d1, d2 = u, d - u
-        if d1 <= rx and d2 <= ry:
-            census[(d1, d2)] = census.get((d1, d2), 0) + 1
-        if d == 0:
-            fresh = q + 1
-        elif u in (0, d):
-            fresh = q
-        else:
-            fresh = q - 1
-        frontier.append((d1, d2, fresh))
-    while frontier:
-        nxt = []
-        for d1, d2, width in frontier:
-            nd1, nd2 = d1 + 1, d2 + 1
-            if nd1 > rx + 0 and nd2 > ry:
-                continue
-            if nd1 <= rx and nd2 <= ry:
-                census[(nd1, nd2)] = census.get((nd1, nd2), 0) + width
-            if nd1 <= rx + ry and nd2 <= rx + ry:  # keep walking while useful
-                if (nd1 < rx or nd2 < ry):
-                    nxt.append((nd1, nd2, width * q))
-        frontier = nxt
+    level = [((), 0)]  # (word, common prefix with the second center)
+    for d1 in range(rx + 1):
+        for _, k in level:
+            d2 = d1 + d - 2 * k
+            if d2 <= ry:
+                census[(d1, d2)] = census.get((d1, d2), 0) + 1
+        if d1 < rx:
+            # a word on the path to the second center (k == d1) stays on it with its next letter
+            level = [(w + (a,), k + (k == d1 and d1 < len(center) and a == center[d1]))
+                     for w, k in level for a in range(q + 1) if not w or a != w[-1]]
     return census

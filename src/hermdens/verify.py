@@ -38,7 +38,7 @@ from .cdens import (
     san_alpha2_prime,
     thm42_display,
 )
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError
 from .locint import REGIONS, _check_prime, charsum_oracle, norm_integral, trace_integral_J1, trace_pair_integral
 from .reps import (
     WeightProfile,
@@ -75,11 +75,11 @@ class Recorder:
         self.checks: list[dict] = []
 
     def _record(self, cid: str, anchor: str, judge):
-        """judge returns (passed, lhs, rhs); a budget or invariant error fails the check."""
+        """judge returns (passed, lhs, rhs); an error it raises fails this check only."""
         t0 = time.perf_counter()
         try:
             passed, lhs, rhs = judge()
-        except (BudgetError, InvariantError) as exc:
+        except Exception as exc:
             passed, lhs, rhs = False, f"{type(exc).__name__}: {exc}", "no error"
         el = time.perf_counter() - t0
         self.checks.append({"id": cid, "anchor": anchor,
@@ -115,7 +115,7 @@ class Recorder:
 # small shared sweeps
 
 def _n1_forms(lo: int, hi: int):
-    out = [diagonal((e1, e2)) for e1 in range((lo), hi + 1) for e2 in range(lo, hi + 1)]
+    out = [diagonal((e1, e2)) for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
     out += [make_monomial((2, 1), (e, e)) for e in range(lo, hi + 1)]
     return out
 
@@ -182,11 +182,10 @@ def _suite_gram_duality(rec: Recorder, q: int):
 
 
 def _suite_alpha_duality(rec: Recorder, q: int):
+    ys = _n1_forms(-2, 3)
     for h in (0, 1, 2):
         k = (2 - h) ** 2 - h * h
         scale = (-1 if k % 2 else 1, k, 0, 0)  # q^k as a factored term
-        ys = [diagonal((e1, e2)) for e1 in range(-2, 4) for e2 in range(-2, 4)]
-        ys += [make_monomial((2, 1), (e, e)) for e in range(-2, 4)]
         rec.sweep(f"stabilizer-scale[h={h}]", "alpha-duality/closed-scale",
                   ((_tmul(scale, _alpha_factor(Y)), _alpha_factor(dual_wedge(Y, h)))
                    for Y in ys))

@@ -366,7 +366,7 @@ def _close(sums: dict) -> SignedRational:
     for ratios, group in sums.items():
         prod = SL_ONE
         for c, n, _, _ in ratios:
-            prod = prod * (SL_ONE - SignedLaurent.monomial(n, c))
+            prod = prod * (SL_ONE - npq(n, c))
         num = num * prod + _numerator(group, low) * den
         den = den * prod
     n0, a0, b0 = low

@@ -1,5 +1,6 @@
 import pytest
 
+from hermdens.reps import diagonal
 from hermdens.symb import SignedRational
 
 
@@ -15,3 +16,10 @@ def rational_builds(monkeypatch):
 
     monkeypatch.setattr(SignedRational, "__init__", counting_init)
     return count
+
+
+def a_t(n: int, t: int):
+    """A_t = diag(1_{2n-t}, pi^{-1} 1_t)."""
+    if not 0 <= t <= 2 * n:
+        raise ValueError(f"need 0 <= t <= 2n, got t={t}, n={n}")
+    return diagonal((0,) * (2 * n - t) + (-1,) * t)

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import a_t
 from hermdens.beta import (
     beta_closed_last,
     build_system,
@@ -34,7 +35,6 @@ from hermdens.cdens import (
 from hermdens.locint import charsum_oracle, norm_integral, trace_pair_integral
 from hermdens.reps import (
     WeightProfile,
-    a_t,
     classify,
     diagonal,
     dual_vee,

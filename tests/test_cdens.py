@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import a_t
 from hermdens.cdens import (
     JCount,
     _count_subpartitions,
@@ -24,7 +25,7 @@ from hermdens.cdens import (
     thm42_display,
 )
 from hermdens.errors import BudgetError
-from hermdens.reps import a_t, diagonal, dual_vee, make_monomial
+from hermdens.reps import diagonal, dual_vee, make_monomial
 from hermdens.symb import SL_ONE, SignedLaurent, SignedRational, npq, qpow
 from hermdens.whit import alpha_iwahori_brute, w_density_n1
 

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -12,8 +13,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hermdens import verify
-from hermdens.cli import main
+from hermdens import cdens, verify
+from hermdens.beta import SOLVE_MAX_N
+from hermdens.cdens import HIRONAKA_MAX_PARTS
+from hermdens.cli import _decimal, main
 from hermdens.errors import BudgetError, InvariantError
 from hermdens.locint import ORACLE_MAX_POINTS
 from hermdens.whit import DENSITY_MAX_EXP
@@ -231,10 +234,20 @@ class TestJfunAndAppendix:
     @pytest.mark.parametrize("n,b1", [("12", "3,3,3,3,3,3,3,3,3,3,3,3,3"),
                                       ("8", "6,6,6,6,6,6,6,6,6")])
     def test_appendix_budget_exit_code(self, n, b1):
-        # cdens.APPENDIX_MAX_N, then the partition sum budget of its densities
+        # beta.SOLVE_MAX_N, then the partition sum budget of its densities
         res = run_main(["appendix", "--n", n, "--B1", b1])
         assert res.exit_code == 3
         assert res.stdout == ""
+
+
+    def test_appendix_over_solve_limit_before_partition_sums(self, monkeypatch):
+        sums = []
+        monkeypatch.setattr(cdens, "hironaka_coeffs", lambda *args: sums.append(args))
+        res = run_main(["appendix", "--n", "9", "--B1", "0,0,0,0,0,0,0,0,0,0"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert f"n <= {SOLVE_MAX_N}, got n=9" in res.stderr
+        assert sums == []
 
 
 class TestTree:
@@ -345,6 +358,19 @@ class TestVerifyCommand:
         assert status["over-budget"] == ("fail", "BudgetError: too many pairs")
         assert status["broken"] == ("fail", "InvariantError: tail is not geometric")
         assert status["after"][0] == "pass"
+
+    def test_any_error_fails_only_its_check(self, monkeypatch):
+        def bent(*args):
+            raise ValueError("bent")
+        monkeypatch.setattr(verify, "alpha_iwahori_brute", bent)
+        report = verify.run_suite("alpha-duality")
+        status = {c["id"]: (c["status"], c["lhs"]) for c in report["checks"]}
+        assert status["stabilizer-brute-spot[p=3,d=2]"] == ("fail", "ValueError: bent")
+        assert (report["passed"], report["failed"]) == (3, 1)
+        res = run_main(["verify", "--suite", "alpha-duality"])
+        assert res.exit_code == 1
+        assert "[fail]" in res.stdout
+        assert "invalid request" not in res.stderr and "internal error" not in res.stderr
 
     def test_setup_error_fails_checks_only(self, monkeypatch):
         # every gram-duality check computes gram_fingerprint; none may abort the run
@@ -480,6 +506,47 @@ class TestOversizedValues:
                 to_doc({"value": big})
 
 
+# 16/243, the density of diag:1,0 at h = 0, t = 1 and q = 3
+SIXTEEN_243 = "0.06584362139917695473251028806584362139918"
+
+
+class TestDecimalDigits:
+    @given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40), st.integers(-40, 40),
+           st.integers(1, 60))
+    def test_digits_equal_decimal_division(self, num, den, shift, k):
+        x = Fraction(num, den) * Fraction(10) ** shift
+        ctx = decimal.Context(prec=k, rounding=decimal.ROUND_HALF_EVEN, Emin=-10 ** 6,
+                              Emax=10 ** 6)
+        assert decimal.Decimal(_decimal(x, k)) == ctx.divide(num * 10 ** max(shift, 0),
+                                                             den * 10 ** max(-shift, 0))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 30))
+    def test_layout_of_float_g_format(self, f, k):
+        # a float is an exact binary fraction, and format rounds it correctly; -0.0 is 0
+        assert _decimal(Fraction(f), k) == ("0" if f == 0 else format(f, f".{k}g"))
+
+    @pytest.mark.parametrize("k,want", [("40", SIXTEEN_243), ("1", "0.07"),
+                                        ("17", "0.065843621399176955"),
+                                        ("18", "0.0658436213991769547")])
+    def test_sixteen_over_243(self, k, want):
+        res = run_main(["--decimal", k, "wdens", "--h", "0", "--t", "1", "--B", "diag:1,0",
+                        "--symbolic"])
+        assert res.exit_code == 0
+        assert out_json(res)["decimal"]["value"] == want
+
+    def test_digit_bound(self):
+        args = ["wdens", "--h", "0", "--t", "1", "--B", "diag:1,0", "--symbolic"]
+        res = run_main(["--decimal", "4300", *args])
+        assert res.exit_code == 0
+        got = out_json(res)["decimal"]["value"]
+        assert got.startswith(SIXTEEN_243[:-1]) and len(got) == 4300 + 3
+        for k in ("4301", "99999999999"):
+            res = run_main(["--decimal", k, *args])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert "--decimal takes K from 0 to 4300" in res.stderr
+
+
 def run_child(*args, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -531,6 +598,73 @@ def _tree_requests(draw):
             "--my", str(draw(_TREE_SIZES)), "--d", str(draw(_TREE_SIZES))]
 
 
+def _levels(*edges):
+    """Small integers, +-10^k, and a command's budget edges."""
+    return st.sampled_from((0, 1, -1, 2, 10 ** 6, -10 ** 6, 10 ** 12, *edges))
+
+
+def _with_decimal(draw, args):
+    return ["--decimal", "4", *args] if draw(st.booleans()) else args
+
+
+def _exponents(draw, size):
+    """A diagonal: size exponents, mostly small and sorted decreasing."""
+    exps = sorted((draw(st.sampled_from((0, 0, 1, 2, 3, 6, -1, 10 ** 6))) for _ in range(size)),
+                  reverse=draw(st.integers(0, 3)) > 0)
+    return ",".join(map(str, exps))
+
+
+@st.composite
+def _integral_requests(draw):
+    kind, regions = draw(st.sampled_from((("norm", 1), ("trace_pair", 2), ("trace_j1", 0))))
+    args = ["integral", "--kind", kind, "--e", str(draw(_levels(-3, 3)))]
+    for _ in range(regions):
+        args += ["--region", draw(st.sampled_from(("O", "unit", "pi")))]
+    if draw(st.booleans()):
+        # 53^4 residue points are in the oracle's budget, 53^6 are not
+        args += ["--oracle", "--p", str(draw(st.sampled_from((3, 5, 53, 2 ** 31 - 1)))),
+                 "--depth", str(draw(_levels(4, 5)))]
+    return _with_decimal(draw, args)
+
+
+@st.composite
+def _alpha_requests(draw):
+    # --xi=... so that a negative exponent reaches the library, not the option parser
+    args = ["alpha", f"--xi={_exponents(draw, draw(st.integers(0, 3)))}",
+            f"--lam={_exponents(draw, draw(st.integers(1, HIRONAKA_MAX_PARTS + 1)))}",
+            "--pad", str(draw(_levels(3)))]
+    if draw(st.booleans()):
+        args.append("--prime")
+    if draw(st.booleans()):
+        args += ["--brute", "--q", str(draw(st.sampled_from((3, 5, 9)))),
+                 "--d", str(draw(_levels(3)))]
+    return _with_decimal(draw, args)
+
+
+@st.composite
+def _jfun_requests(draw):
+    return _with_decimal(draw, ["jfun", "--t", str(draw(_levels())),
+                                "--B", f"diag:{draw(_EXPS)},{draw(_EXPS)}"])
+
+
+@st.composite
+def _beta_requests(draw):
+    n = draw(_levels(SOLVE_MAX_N, SOLVE_MAX_N + 1))
+    args = ["beta", "--n", str(n), "--h", str(draw(_levels(n - 1, 2 * n, 2 * n + 1)))]
+    if draw(st.booleans()):
+        args.append("--closed")
+    if draw(st.booleans()):
+        args += ["--verify", "--B", f"diag:{draw(_EXPS)},{draw(_EXPS)}",
+                 "--q", str(draw(_levels(3, 53)))]
+    return args
+
+
+@st.composite
+def _appendix_requests(draw):
+    n = draw(_levels(SOLVE_MAX_N, SOLVE_MAX_N + 1))
+    return ["appendix", "--n", str(n), f"--B1={_exponents(draw, min(abs(n), 10) + 1)}"]
+
+
 def _ends_in_answer_or_refusal(args):
     # in its own process, so a hang or a crash cannot hide
     done = run_child("-m", "hermdens.cli", *args, timeout=10)
@@ -556,6 +690,38 @@ class TestContractSample:
     @given(_tree_requests())
     @example(OVERSIZED[3])
     def test_tree_ends_in_answer_or_refusal(self, args):
+        _ends_in_answer_or_refusal(args)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(_integral_requests())
+    def test_integral_ends_in_answer_or_refusal(self, args):
+        _ends_in_answer_or_refusal(args)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(_alpha_requests())
+    @example(["--decimal", "0", "alpha", "--xi", "0", "--lam", "1"])
+    @example(["--decimal", "1", "alpha", "--xi", "0", "--lam", "1"])
+    @example(["--decimal", "17", "alpha", "--xi", "0", "--lam", "1"])
+    @example(["--decimal", "18", "alpha", "--xi", "0", "--lam", "1"])
+    @example(["--decimal", "4300", "alpha", "--xi", "0", "--lam", "1"])
+    @example(["--decimal", "4301", "alpha", "--xi", "0", "--lam", "1"])
+    @example(["--decimal", str(10 ** 11), "alpha", "--xi", "0", "--lam", "1"])
+    def test_alpha_ends_in_answer_or_refusal(self, args):
+        _ends_in_answer_or_refusal(args)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(_jfun_requests())
+    def test_jfun_ends_in_answer_or_refusal(self, args):
+        _ends_in_answer_or_refusal(args)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(_beta_requests())
+    def test_beta_ends_in_answer_or_refusal(self, args):
+        _ends_in_answer_or_refusal(args)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(_appendix_requests())
+    def test_appendix_ends_in_answer_or_refusal(self, args):
         _ends_in_answer_or_refusal(args)
 
 

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import a_t
 from hermdens.reps import (
     MonomialHermitian,
     WeightProfile,
-    a_t,
     classify,
     diagonal,
     dual_vee,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,15 +94,26 @@ def test_engulfed_vdet_override():
 
 
 def test_census_matches_classes():
-    for d in (0, 1, 2, 3, 4):
-        inst = TreeInstance(3, d, 0, d)
-        for rx in range(0, 5):
-            for ry in range(0, 5):
-                agg: dict = {}
-                for cls in enumerate_ball_intersection(inst, rx, ry):
-                    key = (cls.d1, cls.d2)
-                    agg[key] = agg.get(key, 0) + cls.count
-                assert agg == bfs_census(3, d, rx, ry), (d, rx, ry)
+    # the walk over words shares no branch count with the class formulas
+    for q in (2, 3, 4, 5):
+        for d in range(0, 7):
+            inst = TreeInstance(q, d, 0, d)
+            for rx in range(0, 6):
+                for ry in range(0, 6):
+                    agg: dict = {}
+                    for cls in enumerate_ball_intersection(inst, rx, ry):
+                        key = (cls.d1, cls.d2)
+                        agg[key] = agg.get(key, 0) + cls.count
+                    assert agg == bfs_census(q, d, rx, ry), (q, d, rx, ry)
+
+
+@pytest.mark.parametrize("args,want", [((2 ** 31, 0, 0, 0), {(0, 0): 1}),
+                                       ((3, 10 ** 9, 2, 2), {})])
+def test_census_huge_q_or_distance_returns_at_once(args, want):
+    # radius 0 grows no level, and only min(d, rx) letters of the far center are read
+    t0 = time.perf_counter()
+    assert bfs_census(*args) == want
+    assert time.perf_counter() - t0 < 1
 
 
 def test_bucket_closed_forms():

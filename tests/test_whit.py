@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import a_t
 from hermdens import whit
 from hermdens.errors import BudgetError, InvariantError
 from hermdens.locint import norm_integral, trace_pair_integral
 from hermdens.reps import (
     WeightProfile,
-    a_t,
     classify,
     diagonal,
     dual_vee,
@@ -527,7 +527,7 @@ def test_close_merged_sum_with_cancellation():
     want = sum((whit._expand(tm) for tm in terms), SignedRational(0))
     assert whit._close({(): box}) == want
     series = sum((whit._expand(tm) for tm in group), SignedRational(0))
-    series = series / SignedRational(SL_ONE - SignedLaurent.monomial(-2, -1))
+    series = series / SignedRational(SL_ONE - npq(-2, -1))
     assert whit._close({(): box, (rho,): first}) == want + series
 
     # weights enter as multipliers, and a sum that cancels entirely is zero
