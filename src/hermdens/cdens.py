@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import BudgetError
-from .locint import _check_prime, count_solutions
+from .locint import count_modulus, count_solutions
 from .symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, npq, qpow
 
 
@@ -230,14 +230,9 @@ def alpha_brute(ambient: Sequence[int], target: Sequence[int], p: int, d: int,
     m, k = len(a_exps) + pad, len(b_exps)
     if k > 2:
         raise ValueError("brute counting supports at most 2 target columns")
-    _check_prime(p)
-    # p >= 3, so 2 d m > 12 is over the budget already: a long padded form
-    # is refused before its power or its exponent tuple is built
-    if p > 5 or d > 3 or d * m > 6 or p ** (2 * d * m) > 6 * 10 ** 5:
-        raise BudgetError("brute counting budget exceeded")
-    if k == 2 and p ** (2 * d * m) > 10 ** 4:
-        raise BudgetError("pair counting budget exceeded")
-    gram = [[pow(p, b) if i == j else 0 for j, b in enumerate(b_exps)] for i in range(k)]
+    # a long padded form is refused before its exponent tuple is built
+    P = count_modulus(p, d, m)
+    gram = [[pow(p, b, P) if i == j else 0 for j, b in enumerate(b_exps)] for i in range(k)]
     a_exps += (0,) * pad
     count = count_solutions(range(m), a_exps, gram, [("O",) * m] * k, p, d)
     return Fraction(count, p ** (d * k * (2 * m - k)))
@@ -287,6 +282,8 @@ def appendix_compat(n: int, b1_exps: Sequence[int]) -> dict:
     """
     from .beta import _check_system, solve_constants
 
+    if n < 1:
+        raise ValueError(f"appendix needs n >= 1, got n={n}")
     # the constant's system sets the one limit on n, before any partition sum
     _check_system(n, n - 1)
     b1 = _check_partition(tuple(sorted(b1_exps, reverse=True)), "b1")
@@ -343,15 +340,11 @@ def jcount_oracle(l_exps: Sequence[int], m_exps: Sequence[int], p: int, d: int,
     k, m = len(lv), len(mv)
     if kind in ("J", "J1") and k % 2:
         raise ValueError("membership kinds need even rank")
-    _check_prime(p)
-    # p >= 3, so 2 d m > 10 is over the budget already: a huge depth is
-    # refused before its power is built
-    if d * m > 5 or p ** (2 * d * m) > 10 ** 5 or k > 2:
-        raise BudgetError("counting budget exceeded")
+    P = count_modulus(p, d, m)
     restricted = {"J": 1, "J1": k // 2 + 1, "I": 0}[kind]
     # restricted columns lie in pi * (dual of M): coordinate i in pi^max(0, 1 - g_i) O
     member = tuple("piO" if e == 0 else "O" for e in mv)
-    gram = [[pow(p, l) if i == j else 0 for j, l in enumerate(lv)] for i in range(k)]
+    gram = [[pow(p, l, P) if i == j else 0 for j, l in enumerate(lv)] for i in range(k)]
     regions = [member if j < restricted else ("O",) * m for j in range(k)]
     count = count_solutions(range(m), mv, gram, regions, p, d)
     scale = Fraction(p) ** (-2 * d * m * k) * Fraction(p) ** ((d - 1) * k * k)

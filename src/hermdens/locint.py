@@ -19,7 +19,8 @@ with no numerical cancellation anywhere.
 
 count_solutions counts solutions of hermitian equations v_i A v_j^* = t_ij
 over O_E / p^d with coordinates restricted to these regions; the three
-brute-force density oracles in cdens and whit are thin callers of it.  It
+brute-force density oracles in cdens and whit are thin callers of it, and
+count_modulus holds the one budget they share.  It
 enumerates residue classes, not vectors: the Gram matrix of a pair is a sum
 of one contribution per orbit of the form's involution, so each orbit's
 classes are counted once and the orbits' histograms of Gram values are
@@ -282,6 +283,25 @@ def _trace_brute(p: int, k1: str, k2: str, e: int) -> Fraction:
 # pair work
 PAIR_BUDGET = 5_000_000
 
+# vectors one count may range over: the p^(2 d m) points of (O_E / p^d)^m
+COUNT_MAX_VECTORS = 600_000
+
+
+def count_modulus(p: int, d: int, m: int) -> int:
+    """p^d, for a count of m coordinates over O_E / p^d.
+
+    ValueError unless p is an odd prime and d >= 1; BudgetError when
+    (O_E / p^d)^m has more than COUNT_MAX_VECTORS points.
+    """
+    _check_prime(p)
+    if d < 1:
+        raise ValueError(f"counting depth must be at least 1, got d={d}")
+    # p >= 3 and 3^13 > COUNT_MAX_VECTORS, so 2 d m > 12 is refused before its power is built
+    if 2 * d * m > 12 or p ** (2 * d * m) > COUNT_MAX_VECTORS:
+        raise BudgetError(f"brute counting limited to {COUNT_MAX_VECTORS} vectors, "
+                          f"got {p}^{2 * d * m}")
+    return p ** d
+
 
 def _coordinate_classes(kind: str, p: int, P: int, M: int) -> list:
     """Residues (x, y) mod M of one region of O_E / P, each with its number of lifts mod P.
@@ -307,7 +327,8 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     rational integers, and coordinate j of v_i ranges over regions[i][j],
     one of "O", "O_unit", "piO" (ValueError otherwise).  A shape that does
     not match (exps or a region tuple not of length m, target not k x k)
-    raises ValueError before any work.  Values are
+    raises ValueError before any work; count_modulus checks p and d and
+    refuses more than COUNT_MAX_VECTORS vectors (BudgetError).  Values are
     compared as (re, im) mod p^d, so A need not be hermitian.
 
     The blocks are the orbits of sigma: a fixed point or a 2-cycle.  The
@@ -318,13 +339,14 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     number of lifts mod p^d.  At k = 1 the blocks' own-value histograms are
     convolved and read at (t11, 0).  At k = 2 the same convolution gives
     each role's vector count; their product is checked against PAIR_BUDGET
-    (BudgetError) before any pair work.  The (own1, own2, cross) histograms
-    of every block but the one with the most classes are then convolved, and
-    that last block, kept bucketed by own value, has its cross values
-    counted once per (own1, own2) pair the others need.  Within a bucket a
-    first vector is read through the coefficients (re, im) of u -> v A u^*
-    and a second through coordinate j mod p^(d - min(exps[j], d)), so the
-    cross counts run over distinct keys.
+    (BudgetError) before any pair work.  Every block then has one
+    (own1, own2, cross) histogram; the last one, the block with the most
+    classes, keeps only the own values the others leave it to reach.  The
+    others' histograms are convolved and joined with the last one's at
+    (t11, 0, t22, 0, t12, 0).  Within a block a first vector is read through
+    the coefficients (re, im) of u -> v A u^* and a second through
+    coordinate j mod p^(d - min(exps[j], d)), so the cross values are
+    counted over distinct keys, once per pair of own values.
     """
     k = len(regions)
     if k not in (1, 2):
@@ -338,11 +360,9 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     for reg in regions:
         for kind in reg:
             _check_region(kind)
-    if d < 1:
-        raise ValueError(f"counting depth must be at least 1, got d={d}")
+    P = count_modulus(p, d, m)
     if sorted(sigma) != list(range(m)) or any(sigma[s] != j for j, s in enumerate(sigma)):
         raise ValueError(f"sigma must be an involution of range({m}), got {sigma}")
-    P = p ** d
     c = _nonresidue(p)
     a = [pow(p, e, P) for e in exps]
     mods = [P // p ** min(e, d) for e in exps]
@@ -427,7 +447,7 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
 
     def cross(keys1, keys2):
         """Cross values (re, im) of every key pair, weighted by multiplicity."""
-        out = Counter()
+        out = defaultdict(int)
         for (re, im), m in keys1.items():
             for u, n in keys2.items():
                 out[sum(map(mul, re, u)) % P, sum(map(mul, im, u)) % P] += m * n
@@ -440,24 +460,6 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
                         for x, n in cross(keys1, keys2).items()})
 
     rest_joint = reduce(convolve, map(joint, tallies), Counter({(0,) * 6: 1}))
-    # group the others' entries by the (own1, own2) they leave the last block;
-    # each such pair of buckets is then joined once
-    t = (target[0][1] % P, 0)
-    wants = {}
-    for key, n in rest_joint.items():
-        need = sub(wanted[0], key[:2]), sub(wanted[1], key[2:4])
-        if need[0] in keyed[0] and need[1] in keyed[1]:
-            wants.setdefault(need, Counter())[sub(t, key[4:])] += n
-    total = 0
-    for (need1, need2), want in wants.items():
-        keys1, keys2 = keyed[0][need1], keyed[1][need2]
-        if len(want) > 1:
-            counts = cross(keys1, keys2)
-            total += sum(w * counts[x] for x, w in want.items())
-            continue
-        # one wanted cross value, as always for a single block: test each
-        # pair against it, the real part first
-        ((x_re, x_im), w), = want.items()
-        total += w * sum(m * n for (re, im), m in keys1.items() for u, n in keys2.items()
-                         if sum(map(mul, re, u)) % P == x_re and sum(map(mul, im, u)) % P == x_im)
-    return total
+    last_joint = joint(keyed)
+    want = wanted[0] + wanted[1] + (target[0][1] % P, 0)
+    return sum(n * last_joint[sub(want, key)] for key, n in rest_joint.items())

@@ -383,12 +383,13 @@ def _suite_tree(rec: Recorder, q: int):
                     yield b.get(k, Fraction(0)), want
     rec.sweep("bucket-closed-forms[r-even]", "tree/bucket-forms", bucket_pairs())
 
-    def census_pairs():
-        inst = TreeInstance(3, 3, 2, 1)
-        census = bfs_census(3, inst.d, 4, 4)
+    def census_pairs(inst):
+        census = bfs_census(inst.q, inst.d, inst.m_x, inst.m_y + 1)
         for cls in enumerate_ball_intersection(inst, inst.m_x, inst.m_y + 1):
             yield census.get((cls.d1, cls.d2), 0), cls.count
-    rec.sweep("census-vs-classes[q=3]", "tree/census", census_pairs())
+    rec.sweep("census-vs-classes[q=3]", "tree/census", census_pairs(TreeInstance(3, 3, 2, 1)))
+    # at d = 2 the geodesic has an interior vertex, with (q - 1) q^(t - 1) branch vertices at offset t
+    rec.sweep("census-vs-classes[q=3,d=2]", "tree/census", census_pairs(TreeInstance(3, 3, 1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,7 @@ def _suite_partition_sums(rec: Recorder, q: int):
                for a, b in san))
     p = q if q <= 5 else 3
     if p == 5:
-        # the rank-2 target of the p = 3 spot is over alpha_brute's budget at p = 5
+        # the rank-2 target of the p = 3 spot is over locint.PAIR_BUDGET at p = 5 (70,312,500 pairs)
         cid, lam = "brute-spot[xi=1,0;lam=1;p=5,d=2]", (1,)
     else:
         cid, lam = f"brute-spot[p={p},d=2]", (1, 0)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import BudgetError, InvariantError
-from .locint import _check_prime, count_solutions, norm_term, trace_pair_term
+from .locint import _check_prime, count_modulus, count_solutions, norm_term, trace_pair_term
 from .reps import MonomialHermitian, WeightProfile, classify
 from .symb import (SL_ONE, SL_ZERO, SR_ZERO, SignedLaurent, SignedRational, _div, _eval_point,
                    _expand, _float, _pm_coeffs, _pm_poly, _sl, npq)
@@ -292,18 +292,17 @@ def alpha_iwahori_brute(Y: MonomialHermitian, p: int, d: int) -> Fraction:
 
     Entries live in the unramified quadratic extension modulo p^d, written
     x + y w with w^2 a nonresidue.  Exponents of Y must be nonnegative so the
-    congruence closes over integers.  Small budgets only.
+    congruence closes over integers.  locint.count_modulus and
+    locint.PAIR_BUDGET bound p and d.
     """
     if Y.size != 2:
         raise ValueError("brute force covers 2x2 only")
-    _check_prime(p)
-    if d > 2 or p > 5:
-        raise BudgetError("budget: d <= 2 and p <= 5")
+    P = count_modulus(p, d, 2)
     if min(Y.e) < 0:
         raise ValueError("nonnegative exponents only")
 
     sigma = [s - 1 for s in Y.sigma]
-    ymat = [[pow(p, Y.e[j]) if sigma[j] == i else 0 for j in range(2)] for i in range(2)]
+    ymat = [[pow(p, Y.e[j], P) if sigma[j] == i else 0 for j in range(2)] for i in range(2)]
     count = count_solutions(sigma, Y.e, ymat, [("O_unit", "O"), ("piO", "O_unit")], p, d)
     return Fraction(count, p ** (4 * d))
 

@@ -354,13 +354,20 @@ class TestLatticeCounts:
             jcount_oracle((1, 1), (1, 1, 1, 1), 3, 1, "I")
 
     def test_huge_depth_refused_before_its_power(self):
-        # 3^(2 * 10^7) would take seconds to build; d * m > 5 is refused first
+        # 3^(2 * 10^7) would take seconds to build; 2 d m > 12 is refused first
         start = time.perf_counter()
         with pytest.raises(BudgetError):
             jcount_oracle((0,), (0,), 3, 10 ** 7, "I")
         assert time.perf_counter() - start < 1
         # the largest accepted depth at m = 1 still counts
         assert jcount_oracle((0,), (0,), 3, 5, "I") == JCount(324, Fraction(4, 9))
+
+    def test_huge_target_exponent_read_mod_p_to_the_d(self):
+        # the targets are built as p^b mod p^d, so a huge b costs nothing
+        start = time.perf_counter()
+        assert jcount_oracle((10 ** 8,), (0,), 3, 1, "I") == jcount_oracle((1,), (0,), 3, 1, "I")
+        assert alpha_brute((0,), (10 ** 12,), 3, 1) == alpha_brute((0,), (1,), 3, 1)
+        assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9])

@@ -249,6 +249,14 @@ class TestJfunAndAppendix:
         assert f"n <= {SOLVE_MAX_N}, got n=9" in res.stderr
         assert sums == []
 
+    @pytest.mark.parametrize("n,b1", [("0", "0"), ("-1", "0,0")])
+    def test_appendix_rejects_n_below_one(self, n, b1):
+        # the message names n only: appendix has no h option
+        res = run_main(["appendix", "--n", n, f"--B1={b1}"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"got n={n}" in res.stderr and "h=" not in res.stderr
+
 
 class TestTree:
     def test_overlapping_case(self):
@@ -665,6 +673,18 @@ def _appendix_requests(draw):
     return ["appendix", "--n", str(n), f"--B1={_exponents(draw, min(abs(n), 10) + 1)}"]
 
 
+@st.composite
+def _verify_requests(draw):
+    """A verify command line: a known or unknown suite name, q around verify.VERIFY_MAX_Q."""
+    suite = draw(st.sampled_from((*verify.suite_names(), "al", "census", "")))
+    if suite in ("integrals", "all"):
+        # their character-sum oracle grows as q^4: --q 53 takes 8.3 s
+        q = draw(st.sampled_from((0, 1, 2, 3, 4, 5, 7)))
+    else:
+        q = draw(st.sampled_from((0, 1, 2, 3, 4, 9, 51, 53, 55, 59, 10 ** 6, 10 ** 12)))
+    return ["--json", "verify", "--suite", suite, "--q", str(q)]
+
+
 def _ends_in_answer_or_refusal(args):
     # in its own process, so a hang or a crash cannot hide
     done = run_child("-m", "hermdens.cli", *args, timeout=10)
@@ -722,6 +742,15 @@ class TestContractSample:
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(_appendix_requests())
     def test_appendix_ends_in_answer_or_refusal(self, args):
+        _ends_in_answer_or_refusal(args)
+
+    # exit 1 would be a failing identity, not a refusal
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(_verify_requests())
+    @example(["--json", "verify", "--suite", "all", "--q", "7"])
+    @example(["--json", "verify", "--suite", "count-bridge", "--q", "53"])
+    @example(["--json", "verify", "--suite", "gram-duality", "--q", "55"])
+    def test_verify_ends_in_answer_or_refusal(self, args):
         _ends_in_answer_or_refusal(args)
 
 

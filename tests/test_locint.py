@@ -1,14 +1,17 @@
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermdens.errors import InvariantError
+from hermdens.errors import BudgetError, InvariantError
 from hermdens.locint import (
+    COUNT_MAX_VECTORS,
     _collapse,
     _trace_brute,
     charsum_oracle,
+    count_modulus,
     count_solutions,
     norm_integral,
     trace_integral_J1,
@@ -218,3 +221,37 @@ def test_count_solutions_rejects_unknown_region():
     for exps, target in (((0,), [[1]]), ((1,), [[0]])):
         with pytest.raises(ValueError, match="unknown region kind 'units'"):
             count_solutions((0,), exps, target, [("units",)], 3, 1)
+
+
+def _old_rules_admit(p, d, m, k):
+    """Whether one of the three brute-force oracles admitted (p, d, m, k) under the rule
+    it kept before count_modulus held the one vector limit."""
+    v = p ** (2 * d * m)
+    alpha = m >= 1 and p <= 5 and d <= 3 and d * m <= 6 and v <= 6 * 10 ** 5 and (k == 1 or v <= 10 ** 4)
+    lattice = d * m <= 5 and v <= 10 ** 5
+    stabilizer = m == 2 and k == 2 and d <= 2 and p <= 5
+    return alpha or lattice or stabilizer
+
+
+def test_count_modulus_admits_every_old_oracle_input():
+    admitted = [(p, d, m) for p in (3, 5, 7) for d in range(1, 7) for m in range(7)
+                for k in (1, 2) if _old_rules_admit(p, d, m, k)]
+    assert len(admitted) > 20
+    for p, d, m in admitted:
+        assert count_modulus(p, d, m) == p ** d
+
+
+def test_count_modulus_edge():
+    assert 773 ** 2 <= COUNT_MAX_VECTORS < 787 ** 2
+    assert count_modulus(773, 1, 1) == 773
+    assert count_modulus(3, 6, 1) == 3 ** 6
+    assert count_modulus(3, 1, 6) == 3
+    for p, d, m in ((787, 1, 1), (3, 7, 1), (3, 1, 7), (3, 10 ** 7, 1), (5, 2, 3)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"limited to {COUNT_MAX_VECTORS} vectors"):
+            count_modulus(p, d, m)
+        assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="odd prime"):
+        count_modulus(9, 1, 1)
+    with pytest.raises(ValueError, match="depth"):
+        count_modulus(3, 0, 1)

@@ -278,12 +278,26 @@ def test_alpha_brute_matches_closed():
 
 
 def test_alpha_brute_guards():
-    with pytest.raises(ValueError):
+    # locint.count_modulus: p^(4 d) <= COUNT_MAX_VECTORS, so p <= 23 at d = 1 and p <= 5 at d = 2
+    for p, d in ((29, 1), (7, 2), (3, 4)):
+        with pytest.raises(BudgetError, match="vectors"):
+            alpha_iwahori_brute(diagonal((0, 0)), p, d)
+    # 3^12 vectors pass that limit; the pair budget refuses them
+    with pytest.raises(BudgetError, match="checks"):
         alpha_iwahori_brute(diagonal((0, 0)), 3, 3)
     with pytest.raises(ValueError):
-        alpha_iwahori_brute(diagonal((0, 0)), 7, 1)
-    with pytest.raises(ValueError):
         alpha_iwahori_brute(diagonal((-1, 0)), 3, 1)
+
+
+@pytest.mark.parametrize("p", [7, 23])
+def test_alpha_brute_matches_closed_at_larger_p(p):
+    # depth 1 is stable for the unimodular forms; the antidiagonal at p = 23 is over PAIR_BUDGET
+    for Y in (diagonal((0, 0)), anti(0)):
+        if p == 23 and Y.sigma == (2, 1):
+            with pytest.raises(BudgetError, match="checks"):
+                alpha_iwahori_brute(Y, p, 1)
+        else:
+            assert alpha_iwahori_brute(Y, p, 1) == alpha_iwahori_n1(Y).evaluate(p)
 
 
 def test_alpha_brute_pair_budget_message():
