@@ -291,15 +291,16 @@ def count_modulus(p: int, d: int, m: int) -> int:
     """p^d, for a count of m coordinates over O_E / p^d.
 
     ValueError unless p is an odd prime and d >= 1; BudgetError when
-    (O_E / p^d)^m has more than COUNT_MAX_VECTORS points.
+    (O_E / p^d)^m has more than COUNT_MAX_VECTORS points, or p^d is over that
+    number (m = 0 gives one point at any d).
     """
     _check_prime(p)
     if d < 1:
         raise ValueError(f"counting depth must be at least 1, got d={d}")
-    # p >= 3 and 3^13 > COUNT_MAX_VECTORS, so 2 d m > 12 is refused before its power is built
-    if 2 * d * m > 12 or p ** (2 * d * m) > COUNT_MAX_VECTORS:
-        raise BudgetError(f"brute counting limited to {COUNT_MAX_VECTORS} vectors, "
-                          f"got {p}^{2 * d * m}")
+    n = max(2 * d * m, d)
+    # p >= 3 and 3^13 > COUNT_MAX_VECTORS, so n > 12 is refused before its power is built
+    if n > 12 or p ** n > COUNT_MAX_VECTORS:
+        raise BudgetError(f"brute counting limited to {COUNT_MAX_VECTORS} vectors, got {p}^{n}")
     return p ** d
 
 

@@ -120,13 +120,6 @@ def _n1_forms(lo: int, hi: int):
     return out
 
 
-def _shape_bs(h: int, lo: int = -1, hi: int = 2):
-    bs = [diagonal((l1, l2)) for l1 in range(lo, hi + 1) for l2 in range(lo, hi + 1)]
-    bs += [make_monomial((2, 1), (l, l)) for l in range(lo, hi + 1)
-           if is_in_Rh(make_monomial((2, 1), (l, l)), h)[0]]
-    return bs
-
-
 # ---------------------------------------------------------------------------
 # integral tables
 
@@ -162,8 +155,9 @@ def _suite_gram_duality(rec: Recorder, q: int):
 
     ys1 = _n1_forms(-2, 2)
     for h in (0, 1, 2):
-        rec.sweep(f"pairing-swap-n1[h={h}]", "gram-duality/n1-full",
-                  swap_pairs(h, ys1, _shape_bs(h)))
+        # a diagonal 2x2 form is in R^h for every h
+        bs1 = [B for B in _n1_forms(-1, 2) if is_in_Rh(B, h)[0]]
+        rec.sweep(f"pairing-swap-n1[h={h}]", "gram-duality/n1-full", swap_pairs(h, ys1, bs1))
     rng = random.Random(11)
     ys2 = rng.sample(list(enumerate_reps(2, -1, 1)), 25)
     bs2 = [diagonal(tuple(rng.randint(-1, 2) for _ in range(4))) for _ in range(4)]

@@ -126,23 +126,6 @@ def _gram_plan(ysigma: tuple, bsigma: tuple) -> tuple:
     return tuple(plan)
 
 
-def _gram_factor(Y: MonomialHermitian, B: MonomialHermitian):
-    """gram_g(Y, B) as a factored term, None when it vanishes."""
-    if Y.size != B.size:
-        raise ValueError("size mismatch")
-    ye, be = Y.e, B.e
-    c, n, a, b = 1, 0, 0, 0
-    for r1, r2, j, k in _gram_plan(Y.sigma, B.sigma):
-        f = _slot_factor(r1, r2, ye[j] + be[k])
-        if f is None:
-            return None
-        c *= f[0]
-        n += f[1]
-        a += f[2]
-        b += f[3]
-    return c, n, a, b
-
-
 def gram_g(Y: MonomialHermitian, B: MonomialHermitian) -> SignedRational:
     """Product of slot integrals for the pair (Y, B).
 
@@ -150,19 +133,31 @@ def gram_g(Y: MonomialHermitian, B: MonomialHermitian) -> SignedRational:
     norm integrals, two-element orbits give trace pair integrals.  The slot
     exponent e_j + lam_k is orbit constant.
     """
-    return _expand(_gram_factor(Y, B))
+    g = gram_fingerprint(Y, B)
+    return _expand(g if g[0] else None)
 
 
 def gram_fingerprint(Y: MonomialHermitian, B: MonomialHermitian) -> tuple:
-    """Canonical encoding of gram_g(Y, B) for bulk equality sweeps.
+    """gram_g(Y, B) as a factored term (c, N, A, B), (0, 0) when it vanishes.
 
-    Returns the factored term (c, N, A, B) of the product, (0, 0) when it
-    vanishes.  The form c s^N (s-1)^A (s+1)^B of a nonzero value is unique,
-    so fingerprints are equal exactly when the gram values are equal, at a
-    fraction of the cost of building them.
+    The one gram product of the package: gram_g expands it and the density
+    terms multiply it in.  The form c s^N (s-1)^A (s+1)^B of a nonzero value
+    is unique, so fingerprints are equal exactly when the gram values are
+    equal, at a fraction of the cost of building them.
     """
-    g = _gram_factor(Y, B)
-    return (0, 0) if g is None else g
+    if Y.size != B.size:
+        raise ValueError("size mismatch")
+    ye, be = Y.e, B.e
+    c, n, a, b = 1, 0, 0, 0
+    for r1, r2, j, k in _gram_plan(Y.sigma, B.sigma):
+        f = _slot_factor(r1, r2, ye[j] + be[k])
+        if f is None:
+            return 0, 0
+        c *= f[0]
+        n += f[1]
+        a += f[2]
+        b += f[3]
+    return c, n, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +308,8 @@ def alpha_iwahori_brute(Y: MonomialHermitian, p: int, d: int) -> Fraction:
 
 def _density_term(Y: MonomialHermitian, B: MonomialHermitian, prof: WeightProfile):
     """gram_g(Y, B) * profile / alpha_iwahori_n1(Y) factored, None when zero."""
-    g = _gram_factor(Y, B)
-    if g is None:
+    g = gram_fingerprint(Y, B)
+    if not g[0]:
         return None
     base_exp, slope = _profile_exps(Y, prof)
     a = _alpha_factor(Y)
@@ -438,19 +433,18 @@ KINK_PAD = 4
 # K * min(r, K) terms and canonicalizing it costs their square, so
 # w_density_n1 also caps max|e| * min(r, max|e|) at this value
 DENSITY_MAX_EXP = 300
-# numeric sums evaluate each distinct (N, A, B) of the box at s = -q, and
-# those values grow with q; this admits every prime that verify (q <= 53)
-# evaluates at
-NUMERIC_MAX_Q = 53
 
 
 def _density_top(B: MonomialHermitian) -> int:
-    """max|e| of the 2x2 form B, refused with BudgetError over DENSITY_MAX_EXP."""
+    """max|e| of the 2x2 form B, refused with BudgetError over DENSITY_MAX_EXP.
+
+    The entry check of both density routes, exact and numeric.
+    """
     if B.size != 2:
         raise ValueError("n = 1 only")
     top = max(abs(l) for l in B.e)
     if top > DENSITY_MAX_EXP:
-        raise BudgetError(f"exact density limited to max|e| <= {DENSITY_MAX_EXP}, got {top}")
+        raise BudgetError(f"density limited to max|e| <= {DENSITY_MAX_EXP}, got {top}")
     return top
 
 
@@ -518,13 +512,11 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     e_window + 2 fills the sums inside the window and in the ring beyond
     it; the ring's sums are the shifts the tail report gives.
     """
-    if B.size != 2 or prof.n != 1:
+    if prof.n != 1:
         raise ValueError("n = 1 only")
-    top = max(abs(l) for l in B.e)
-    if max(e_window, top) > DENSITY_MAX_EXP:
-        raise BudgetError(f"numeric density limited to window, max|e| <= {DENSITY_MAX_EXP}")
-    if q > NUMERIC_MAX_Q:
-        raise BudgetError(f"numeric density limited to q <= {NUMERIC_MAX_Q}, got {q}")
+    top = _density_top(B)
+    if e_window > DENSITY_MAX_EXP:
+        raise BudgetError(f"numeric density limited to window <= {DENSITY_MAX_EXP}, got {e_window}")
     _check_prime(q)
     lo, hi = -max(e_window + 2, top + KINK_PAD), e_window + 2
 

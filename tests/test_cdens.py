@@ -354,11 +354,13 @@ class TestLatticeCounts:
             jcount_oracle((1, 1), (1, 1, 1, 1), 3, 1, "I")
 
     def test_huge_depth_refused_before_its_power(self):
-        # 3^(2 * 10^7) would take seconds to build; 2 d m > 12 is refused first
-        start = time.perf_counter()
-        with pytest.raises(BudgetError):
-            jcount_oracle((0,), (0,), 3, 10 ** 7, "I")
-        assert time.perf_counter() - start < 1
+        # 3^(2 * 10^7) would take seconds to build; 2 d m > 12 is refused first,
+        # and at m = 0, one vector at any d, the modulus 3^(10^7) is refused the same way
+        for m_exps in ((0,), ()):
+            start = time.perf_counter()
+            with pytest.raises(BudgetError):
+                jcount_oracle((0,), m_exps, 3, 10 ** 7, "I")
+            assert time.perf_counter() - start < 1
         # the largest accepted depth at m = 1 still counts
         assert jcount_oracle((0,), (0,), 3, 5, "I") == JCount(324, Fraction(4, 9))
 

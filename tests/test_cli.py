@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hermdens import cdens, verify
+from hermdens import cdens, verify, whit
 from hermdens.beta import SOLVE_MAX_N
 from hermdens.cdens import HIRONAKA_MAX_PARTS
 from hermdens.cli import _decimal, main
@@ -122,13 +122,34 @@ class TestWdens:
         assert res.exit_code == 2
         assert res.stdout == ""
 
-    @pytest.mark.parametrize("q", ["59", "1000000000000000003"])
+    @pytest.mark.parametrize("q", ["1000000000000000003"])
     def test_numeric_q_over_limit(self, q):
-        # whit.NUMERIC_MAX_Q is checked before the prime check and any sum
+        # locint.PRIME_MAX is checked before any trial division and any sum
         res = run_main(["wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
                         "--q", q, "--emin", "-2", "--emax", "2"])
         assert res.exit_code == 3
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("q", ["59", "2147483647"])
+    def test_numeric_large_q_answers(self, q):
+        # a prime over verify's q <= 53 is summed like any other
+        res = run_main(["--json", "wdens", "--h", "1", "--t", "1", "--B", "diag:0,-1",
+                        "--q", q, "--emin", "-2", "--emax", "2"])
+        assert res.exit_code == 0
+        assert out_json(res)["request"]["q"] == int(q)
+
+    def test_numeric_exponent_budget_before_work(self, monkeypatch):
+        # whit._density_top refuses B before any box walk
+        def walked(*args):
+            raise AssertionError("box walked")
+        monkeypatch.setattr(whit, "_n1_tables", walked)
+        t0 = time.perf_counter()
+        res = run_main(["wdens", "--h", "1", "--t", "1", "--B", "diag:301,0",
+                        "--q", "3", "--emin", "-2", "--emax", "2"])
+        assert time.perf_counter() - t0 < 1
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert "max|e| <= 300, got 301" in res.stderr
 
 
 class TestBeta:

@@ -246,7 +246,10 @@ def test_count_modulus_edge():
     assert count_modulus(773, 1, 1) == 773
     assert count_modulus(3, 6, 1) == 3 ** 6
     assert count_modulus(3, 1, 6) == 3
-    for p, d, m in ((787, 1, 1), (3, 7, 1), (3, 1, 7), (3, 10 ** 7, 1), (5, 2, 3)):
+    # m = 0 has one vector at any d, so p^d itself is held to the limit
+    assert count_modulus(7, 6, 0) == 7 ** 6
+    for p, d, m in ((787, 1, 1), (3, 7, 1), (3, 1, 7), (3, 10 ** 7, 1), (5, 2, 3),
+                    (3, 10 ** 7, 0), (3, 13, 0)):
         start = time.perf_counter()
         with pytest.raises(BudgetError, match=f"limited to {COUNT_MAX_VECTORS} vectors"):
             count_modulus(p, d, m)

@@ -50,6 +50,22 @@ def n1_forms(lo, hi):
     return out
 
 
+def test_gram_products_go_through_gram_fingerprint(monkeypatch):
+    # the trace counts this one routine, so every gram product must reach it
+    calls = []
+    fingerprint = whit.gram_fingerprint
+
+    def counted(Y, B):
+        calls.append((Y, B))
+        return fingerprint(Y, B)
+    monkeypatch.setattr(whit, "gram_fingerprint", counted)
+    whit.w_density_n1.__wrapped__(diagonal((0, -1)), 1, 1)
+    assert calls
+    del calls[:]
+    gram_g(anti(0), A1)
+    assert calls == [(anti(0), A1)]
+
+
 def test_gram_size_mismatch():
     with pytest.raises(ValueError):
         gram_g(diagonal((0, 0)), diagonal((0, 0, 0, 0)))
@@ -503,7 +519,7 @@ TRUNCATED_INPUTS = ((A1, WeightProfile(1, 1, 1, 0)), (diagonal((2, -1)), WeightP
                     (anti(1), WeightProfile(1, 0, 1, 1)))
 
 
-@pytest.mark.parametrize("q", (3, 5, 7))
+@pytest.mark.parametrize("q", (3, 5, 7, 59))
 @pytest.mark.parametrize("B,prof", TRUNCATED_INPUTS)
 def test_density_truncated_matches_per_form_sums(B, prof, q):
     # windows below, at and above K = max|e| + 4
