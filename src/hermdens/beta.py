@@ -18,6 +18,7 @@ independent check in the tests and the verify suites.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import BudgetError, InvariantError
 from .symb import SL_ONE, SL_ZERO, SignedRational, npq
@@ -59,8 +60,13 @@ def build_system(n: int, h: int):
 BetaSolution = namedtuple("BetaSolution", "n h beta_h beta_dual delta")
 
 
+@lru_cache(maxsize=None)
 def solve_constants(n: int, h: int) -> BetaSolution:
-    """Solve the system; the middle block carries a sign flip by convention."""
+    """Solve the system; the middle block carries a sign flip by convention.
+
+    Memoized: the solution is a tuple of immutable values, and a raised
+    budget or range error is not cached.
+    """
     vec = vandermonde_inverse_route(n, h)
     return BetaSolution(n, h, tuple(vec[:n]), tuple(-v for v in vec[n:2 * n]), vec[2 * n])
 

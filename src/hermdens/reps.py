@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import InvariantError
 
@@ -85,27 +86,61 @@ def enumerate_reps(n: int, e_min: int, e_max: int):
 
     Deterministic order: involutions sorted by number of 2-cycles then by
     image tuple, exponents in lexicographic order over sorted orbit
-    representatives.
+    representatives.  `rep_at` returns the k-th of them and `count_reps`
+    their number, without listing any.
     """
     if e_min > e_max:
         return
-    size = 2 * n
-    for sigma in _sorted_involutions(size):
-        orbits = []
-        for i in range(1, size + 1):
-            j = sigma[i - 1]
-            if j >= i:
-                orbits.append((i, j))
-        values = range(e_min, e_max + 1)
+    values = range(e_min, e_max + 1)
+    for sigma in _sorted_involutions(2 * n):
+        orbits = _orbits(sigma)
         for assignment in itertools.product(values, repeat=len(orbits)):
-            e = [0] * size
-            for (i, j), v in zip(orbits, assignment):
-                e[i - 1] = v
-                e[j - 1] = v
-            yield MonomialHermitian(size, sigma, tuple(e))
+            yield _form(sigma, orbits, assignment)
 
 
-def _sorted_involutions(size: int):
+def count_reps(n: int, e_min: int, e_max: int) -> int:
+    """The number of forms enumerate_reps(n, e_min, e_max) yields."""
+    if e_min > e_max:
+        return 0
+    width = e_max - e_min + 1
+    return sum(width ** len(_orbits(sigma)) for sigma in _sorted_involutions(2 * n))
+
+
+def rep_at(n: int, e_min: int, e_max: int, k: int) -> MonomialHermitian:
+    """The k-th form of enumerate_reps(n, e_min, e_max), without listing those before it."""
+    rest = k
+    if e_min <= e_max and rest >= 0:
+        width = e_max - e_min + 1
+        for sigma in _sorted_involutions(2 * n):
+            orbits = _orbits(sigma)
+            block = width ** len(orbits)
+            if rest < block:
+                # the last orbit's value varies fastest, as in itertools.product
+                values = []
+                for _ in orbits:
+                    rest, d = divmod(rest, width)
+                    values.append(e_min + d)
+                return _form(sigma, orbits, reversed(values))
+            rest -= block
+    raise IndexError(f"form index {k} out of range for n={n}, exponents {e_min}..{e_max}")
+
+
+def _orbits(sigma):
+    """The orbits (i, sigma(i)) of an involution with i <= sigma(i), by i."""
+    return [(i, j) for i, j in enumerate(sigma, 1) if j >= i]
+
+
+def _form(sigma, orbits, values) -> MonomialHermitian:
+    """The form with involution sigma taking each orbit's value as its exponent."""
+    e = [0] * len(sigma)
+    for (i, j), v in zip(orbits, values):
+        e[i - 1] = v
+        e[j - 1] = v
+    return MonomialHermitian(len(sigma), sigma, tuple(e))
+
+
+@lru_cache(maxsize=None)
+def _sorted_involutions(size: int) -> tuple:
     out = []
 
     def build(done, remaining):
@@ -123,7 +158,7 @@ def _sorted_involutions(size: int):
 
     build([], list(range(1, size + 1)))
     out.sort(key=lambda img: (sum(1 for i in range(size) if img[i] != i + 1), img))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,14 @@ from hermdens.locint import charsum_oracle, norm_integral, trace_pair_integral
 from hermdens.reps import (
     WeightProfile,
     classify,
+    count_reps,
     diagonal,
     dual_vee,
     dual_wedge,
     enumerate_reps,
     is_in_Rh,
     make_monomial,
+    rep_at,
 )
 from hermdens.symb import SL_ONE, SignedRational, npq, qpow, sr_solve_linear
 from hermdens.tree import TreeInstance, fk_buckets, intersect_zy, vertical_pairing
@@ -137,10 +139,11 @@ def test_a03_pairing_duality_sweep():
                     bad += 1
                 sampled += 1
     rng = random.Random(20260814)
-    ys3 = list(enumerate_reps(3, -2, 2))
+    total3 = count_reps(3, -2, 2)
     count3 = 0
     while count3 < 500:
-        Y = rng.choice(ys3)
+        # the same draw as rng.choice over the listed forms, without the list
+        Y = rep_at(3, -2, 2, rng.randrange(total3))
         h = rng.randint(0, 6)
         B = diagonal(tuple(sorted((rng.randint(-1, 2) for _ in range(6)), reverse=True)))
         if not is_in_Rh(B, h)[0]:

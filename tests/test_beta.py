@@ -137,6 +137,18 @@ def test_solve_constants_rejections():
         solve_constants(9, 100)
 
 
+def test_solve_constants_memoized():
+    first = solve_constants(2, 1)
+    assert solve_constants(2, 1) is first
+    assert solve_constants.__wrapped__(2, 1) == first
+
+
+def test_solve_constants_budget_error_not_cached():
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            solve_constants(9, 0)
+
+
 @pytest.mark.parametrize("n,h", [(1, 0), (3, 2), (4, 8)])
 def test_one_canonicalization_per_unknown(n, h, monkeypatch):
     calls = []
@@ -146,5 +158,6 @@ def test_one_canonicalization_per_unknown(n, h, monkeypatch):
         calls.append(1)
         init(self, *args, **kw)
     monkeypatch.setattr(SignedRational, "__init__", counting)
-    solve_constants(n, h)
+    # the uncached solve: an earlier test may have memoized this (n, h)
+    solve_constants.__wrapped__(n, h)
     assert len(calls) == 2 * n + 1

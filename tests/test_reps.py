@@ -6,6 +6,7 @@ from hermdens.reps import (
     MonomialHermitian,
     WeightProfile,
     classify,
+    count_reps,
     diagonal,
     dual_vee,
     dual_wedge,
@@ -13,6 +14,7 @@ from hermdens.reps import (
     is_in_Rh,
     make_monomial,
     parse_monomial,
+    rep_at,
 )
 
 
@@ -85,6 +87,16 @@ def test_enumerate_deterministic_and_valid():
     assert len(set(a)) == len(a)
     # involution count for size 4 is 10; orbit counts give the total
     assert len(a) == sum(3 ** ((4 - 2 * k) + k) * c for k, c in [(0, 1), (1, 6), (2, 3)])
+
+
+@pytest.mark.parametrize("n,lo,hi", [(1, 0, 0), (1, 1, 0), (1, -2, 2), (2, -1, 1), (2, 0, 2), (3, -1, 0)])
+def test_rep_at_follows_enumeration_order(n, lo, hi):
+    reps = list(enumerate_reps(n, lo, hi))
+    assert count_reps(n, lo, hi) == len(reps)
+    assert [rep_at(n, lo, hi, k) for k in range(len(reps))] == reps
+    for k in (len(reps), -1):
+        with pytest.raises(IndexError):
+            rep_at(n, lo, hi, k)
 
 
 def test_classify_spec_cases():
