@@ -7,8 +7,9 @@ normalized so the limit exists: with A of size m, B of size k,
 
 Growing the ambient form by unimodular hyperbolic padding turns alpha into
 a polynomial in X = s^(-2r), where 2r is the number of padded slots.  The
-closed evaluation used here expands over subpartitions of the shifted
-target exponents; each coefficient is a SignedLaurent, and alpha_value and
+closed evaluation used here sums over the partitions inside the shifted
+target exponents, one column at a time, so partitions that share a column
+share its factor; each coefficient is a SignedLaurent, and alpha_value and
 alpha_prime canonicalize their sum once into a SignedRational.  Derivatives
 follow the same convention as the weighted densities: prime means -d/dX at X = 1.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BudgetError
 from .locint import count_modulus, count_solutions
@@ -40,33 +41,8 @@ def conjugate_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
 
 
-def _part_at(parts: Sequence[int], j: int) -> int:
-    # 1-indexed with zero padding past the end
-    return parts[j - 1] if 1 <= j <= len(parts) else 0
-
-
-def partition_weight_n(mu: Sequence[int]) -> int:
-    return sum(i * p for i, p in enumerate(mu))
-
-
-def _subpartitions(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # all partitions mu with mu_i <= bound_i, bound decreasing
-    n = len(bound)
-
-    def rec(i: int, prev: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(acc)
-            return
-        for v in range(min(prev, bound[i]), -1, -1):
-            acc.append(v)
-            yield from rec(i + 1, v, acc)
-            acc.pop()
-
-    yield from rec(0, bound[0] if n else 0, [])
-
-
 def _count_subpartitions(bound: Sequence[int]) -> int:
-    """Number of partitions _subpartitions(bound) yields, without listing them."""
+    """Number of partitions mu with mu_i <= bound_i (bound decreasing), without listing them."""
     # ways[v]: decreasing prefixes ending in the part v
     ways = [1] * (bound[0] + 1)
     for b in bound[1:]:
@@ -110,8 +86,9 @@ def _transition_factor(top: int, nxt: int, mj: int, mj1: int) -> SignedLaurent:
 
 
 # the gauss brackets of a transition factor have degree up to about
-# len(lam)^2 / 4, and the expansion multiplies one factor per subpartition
-# of lam + 1 and column (lam[0] + 1 of them); both are checked before any work
+# len(lam)^2 / 4.  At each of the lam[0] + 1 columns, every step of the walk
+# stands for a different subpartition of lam + 1, so the walk takes at most as
+# many steps as there are subpartition-column terms; both are checked before any work
 HIRONAKA_MAX_PARTS = 12
 HIRONAKA_MAX_TERMS = 20_000
 
@@ -136,22 +113,29 @@ def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedLaurent
     # over the square root of the limit fails without counting
     if lt[0] ** 2 > HIRONAKA_MAX_TERMS or _count_subpartitions(lt) * lt[0] > HIRONAKA_MAX_TERMS:
         raise BudgetError(f"partition sum limited to {HIRONAKA_MAX_TERMS} subpartition-column terms")
-    lt_c = conjugate_partition(lt)
+    lt_c = conjugate_partition(lt) + (0,)
     # only the first lt[0] parts of xi_c meet a mu_c, so larger xi parts are cut there
     xi_c = conjugate_partition(tuple(min(x, lt[0]) for x in xi_t))
-    coeffs = [SL_ZERO] * (sum(lt) + 1)
-    for mu in _subpartitions(lt):
-        k = sum(mu)
-        mu_c = conjugate_partition(mu)
-        pair = sum(a * b for a, b in zip(xi_c, mu_c))
-        exp = -partition_weight_n(mu) + (n - m - 1) * k + pair
-        prod = npq(exp, -1 if k % 2 else 1)
-        for j in range(1, lam_t[0] + 2):
-            prod = prod * _transition_factor(_part_at(lt_c, j), _part_at(lt_c, j + 1),
-                                             _part_at(mu_c, j), _part_at(mu_c, j + 1))
-            if prod.is_zero():
-                break
-        coeffs[k] = coeffs[k] + prod
+    xi_c += (0,) * (lt[0] - len(xi_c))
+
+    def weight(j: int, h: int) -> SignedLaurent:
+        # column j (from 0) of mu of height h: (-1)^h s^(-C(h, 2) + (n - m - 1 + xi_c[j]) h)
+        return npq((n - m - 1 + xi_c[j]) * h - h * (h - 1) // 2, -1 if h % 2 else 1)
+
+    # walk the columns of mu: a state (h, k) has last column h and |mu| = k so far.  A
+    # next column of height 0 ends mu and every later factor is 1, so it goes to coeffs[k]
+    coeffs = [SL_ONE] + [SL_ZERO] * sum(lt)
+    walk = {(h, h): weight(0, h) for h in range(1, n + 1)}
+    for j in range(1, lt[0] + 1):
+        top, nxt = lt_c[j - 1], lt_c[j]
+        step: dict[tuple[int, int], SignedLaurent] = {}
+        for (h, k), val in walk.items():
+            coeffs[k] = coeffs[k] + val * _transition_factor(top, nxt, h, 0)
+            for h1 in range(1, min(h, nxt) + 1):
+                key = (h1, k + h1)
+                term = val * (_transition_factor(top, nxt, h, h1) * weight(j, h1))
+                step[key] = step.get(key, SL_ZERO) + term
+        walk = step
     return coeffs
 
 

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -5,15 +6,16 @@ import pytest
 
 from conftest import a_t
 from hermdens.cdens import (
+    HIRONAKA_MAX_TERMS,
     JCount,
     _count_subpartitions,
-    _subpartitions,
     _transition_factor,
     alpha_brute,
     alpha_diag_unimodular,
     alpha_prime,
     alpha_value,
     appendix_compat,
+    conjugate_partition,
     factorization_check,
     gauss_bracket,
     hironaka_coeffs,
@@ -26,7 +28,7 @@ from hermdens.cdens import (
 )
 from hermdens.errors import BudgetError
 from hermdens.reps import diagonal, dual_vee, make_monomial
-from hermdens.symb import SL_ONE, SignedLaurent, SignedRational, npq, qpow
+from hermdens.symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, npq, qpow
 from hermdens.whit import alpha_iwahori_brute, w_density_n1
 
 SAN_PAIRS = [(0, 0), (2, 0), (1, 1), (3, 1), (4, 2)]
@@ -42,6 +44,52 @@ def pi_an_exponents(n: int, r: int) -> tuple[int, ...]:
 def scale_alpha(value: SignedRational, k: int) -> SignedRational:
     """Turn alpha(C, D) into alpha(pi C, pi D) when D has size k."""
     return value * SignedRational(qpow(k * k))
+
+
+def _subpartitions(bound):
+    """All partitions mu with mu_i <= bound_i, bound decreasing, padded to len(bound)."""
+    if not bound:
+        yield ()
+        return
+    for v in range(bound[0], -1, -1):
+        for rest in _subpartitions(tuple(min(b, v) for b in bound[1:])):
+            yield (v,) + rest
+
+
+def expanded_coeffs(xi, lam):
+    """hironaka_coeffs as one product of column factors per subpartition mu of lam + 1."""
+    m, n = len(xi), len(lam)
+    lt = tuple(x + 1 for x in lam)
+    lt_c, xi_c = conjugate_partition(lt), conjugate_partition(xi)
+
+    def part(parts, j):  # part j (from 0) with zero padding past the end
+        return parts[j] if j < len(parts) else 0
+
+    coeffs = [SL_ZERO] * (sum(lt) + 1)
+    for mu in _subpartitions(lt):
+        k = sum(mu)
+        mu_c = conjugate_partition(mu)
+        exp = (-sum(i * p for i, p in enumerate(mu)) + (n - m - 1) * k
+               + sum(a * b for a, b in zip(xi_c, mu_c)))
+        prod = npq(exp, -1 if k % 2 else 1)
+        for j in range(lt[0]):
+            prod = prod * _transition_factor(part(lt_c, j), part(lt_c, j + 1),
+                                             part(mu_c, j), part(mu_c, j + 1))
+        coeffs[k] = coeffs[k] + prod
+    return coeffs
+
+
+def walk_sample():
+    """150 (xi, lam) within the partition-sum budget from a fixed seed, and two at its edge."""
+    rng = random.Random(26)
+    sample = []
+    while len(sample) < 150:
+        top = rng.choice((1, 2, 3, 5, 8))
+        lam = tuple(sorted((rng.randint(0, top) for _ in range(rng.randint(1, 7))), reverse=True))
+        xi = tuple(sorted((rng.randint(0, 4) for _ in range(rng.randint(1, 5))), reverse=True))
+        if _count_subpartitions(tuple(x + 1 for x in lam)) * (lam[0] + 1) <= HIRONAKA_MAX_TERMS:
+            sample.append((xi, lam))
+    return sample + [((0,), (139,)), ((0,) * 12, (3,) * 12)]
 
 
 class TestPolynomial:
@@ -83,6 +131,12 @@ class TestPolynomial:
                 for tgt in targets:
                     got = alpha_value(hironaka_coeffs(xi, (0,) * tgt))
                     assert got == prop_a5_value(n, tgt), (n, r, tgt)
+
+    def test_column_walk_matches_expansion(self):
+        # the walk shares column factors between subpartitions; the expansion
+        # multiplies them out for each one, so only the recombination is checked here
+        for xi, lam in walk_sample():
+            assert hironaka_coeffs(xi, lam) == expanded_coeffs(xi, lam), (xi, lam)
 
     def test_subpartition_count(self):
         for bound in [(0,), (3,), (4, 2), (5, 5, 1), (3, 3, 3, 2, 1), (7, 4, 4, 2, 2, 1, 1)]:

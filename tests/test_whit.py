@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -362,6 +363,18 @@ def test_density_budget_error_not_cached():
     for _ in range(2):
         with pytest.raises(BudgetError):
             w_density_n1(B, 1, 1)
+
+
+def test_any_r_at_small_exponents_stays_sparse():
+    # any r is accepted at max|e| <= 17; at r = 10^8 the canonicalization divides
+    # numerators of degree about 7.2e9, so one slot per degree would never fit
+    tracemalloc.start()
+    try:
+        w_density_n1.__wrapped__(diagonal((17, 17)), 1, 1, 10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_profile_plan_cached_per_involution_and_h(monkeypatch):
