@@ -41,20 +41,6 @@ def conjugate_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
 
 
-def _count_subpartitions(bound: Sequence[int]) -> int:
-    """Number of partitions mu with mu_i <= bound_i (bound decreasing), without listing them."""
-    # ways[v]: decreasing prefixes ending in the part v
-    ways = [1] * (bound[0] + 1)
-    for b in bound[1:]:
-        acc, nxt = 0, [0] * (b + 1)
-        for v in range(len(ways) - 1, -1, -1):
-            acc += ways[v]
-            if v <= b:
-                nxt[v] = acc
-        ways = nxt
-    return sum(ways)
-
-
 def _unit_prod(shifts) -> SignedLaurent:
     """prod (1 - s^-l) over the shifts l, as one Laurent polynomial."""
     prod = SL_ONE
@@ -86,11 +72,11 @@ def _transition_factor(top: int, nxt: int, mj: int, mj1: int) -> SignedLaurent:
 
 
 # the gauss brackets of a transition factor have degree up to about
-# len(lam)^2 / 4.  At each of the lam[0] + 1 columns, every step of the walk
-# stands for a different subpartition of lam + 1, so the walk takes at most as
-# many steps as there are subpartition-column terms; both are checked before any work
+# len(lam)^2 / 4.  The walk takes one step per state per column and one per
+# transition; 1,909 is the most that any input under the former limit of
+# 20,000 subpartition-column terms took, at lam = (4,) * 8 + (3, 3, 0)
 HIRONAKA_MAX_PARTS = 12
-HIRONAKA_MAX_TERMS = 20_000
+HIRONAKA_MAX_STEPS = 1_909
 
 
 def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedLaurent]:
@@ -98,7 +84,9 @@ def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedLaurent
 
     xi and lam are the diagonal pi-exponents of the two forms, sorted
     decreasing, all nonnegative.  P evaluated at X = s^(-2r) gives alpha
-    after padding the xi side with 2r unimodular slots.
+    after padding the xi side with 2r unimodular slots.  BudgetError for more
+    than HIRONAKA_MAX_PARTS target exponents, and as soon as the column walk
+    takes more than HIRONAKA_MAX_STEPS steps.
     """
     xi_t = _check_partition(xi, "xi")
     lam_t = _check_partition(lam, "lam")
@@ -109,10 +97,9 @@ def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedLaurent
     lt = tuple(x + 1 for x in lam_t)
     if n > HIRONAKA_MAX_PARTS:
         raise BudgetError(f"partition sum limited to {HIRONAKA_MAX_PARTS} target exponents, got {n}")
-    # (v, 0, ..., 0) is a subpartition for every v <= lt[0], so a first part
-    # over the square root of the limit fails without counting
-    if lt[0] ** 2 > HIRONAKA_MAX_TERMS or _count_subpartitions(lt) * lt[0] > HIRONAKA_MAX_TERMS:
-        raise BudgetError(f"partition sum limited to {HIRONAKA_MAX_TERMS} subpartition-column terms")
+    # the walk has a state at each of its lt[0] columns, so a larger first part is refused before any list
+    if lt[0] > HIRONAKA_MAX_STEPS:
+        raise BudgetError(f"partition sum limited to {HIRONAKA_MAX_STEPS} walk steps")
     lt_c = conjugate_partition(lt) + (0,)
     # only the first lt[0] parts of xi_c meet a mu_c, so larger xi parts are cut there
     xi_c = conjugate_partition(tuple(min(x, lt[0]) for x in xi_t))
@@ -126,8 +113,12 @@ def hironaka_coeffs(xi: Sequence[int], lam: Sequence[int]) -> list[SignedLaurent
     # next column of height 0 ends mu and every later factor is 1, so it goes to coeffs[k]
     coeffs = [SL_ONE] + [SL_ZERO] * sum(lt)
     walk = {(h, h): weight(0, h) for h in range(1, n + 1)}
+    steps = 0
     for j in range(1, lt[0] + 1):
         top, nxt = lt_c[j - 1], lt_c[j]
+        steps += sum(1 + min(h, nxt) for h, _ in walk)
+        if steps > HIRONAKA_MAX_STEPS:
+            raise BudgetError(f"partition sum limited to {HIRONAKA_MAX_STEPS} walk steps")
         step: dict[tuple[int, int], SignedLaurent] = {}
         for (h, k), val in walk.items():
             coeffs[k] = coeffs[k] + val * _transition_factor(top, nxt, h, 0)

@@ -19,8 +19,9 @@ with no numerical cancellation anywhere.
 
 count_solutions counts solutions of hermitian equations v_i A v_j^* = t_ij
 over O_E / p^d with coordinates restricted to these regions; the three
-brute-force density oracles in cdens and whit are thin callers of it, and
-count_modulus holds the one budget they share.  It
+brute-force density oracles in cdens and whit are thin callers of it.
+count_modulus holds the vector limit they share, and PAIR_BUDGET bounds
+the key pairs a count of two vectors joins.  It
 enumerates residue classes, not vectors: the Gram matrix of a pair is a sum
 of one contribution per orbit of the form's involution, so each orbit's
 classes are counted once and the orbits' histograms of Gram values are
@@ -169,7 +170,8 @@ def _region_coord_depth(kind: str):
     return [(0, 1), (1, -1)]
 
 
-# residue points of O_E / p^m one charsum_oracle call may range over
+# steps one charsum_oracle call may take: the p^(2m) residue points of
+# O_E / p^m for the norm kind, its 8 p^m loop iterations for the trace pair kind
 ORACLE_MAX_POINTS = 10 ** 7
 
 
@@ -179,8 +181,9 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
     regions: one region for kind='norm', a pair for kind='trace_pair'.
     depth bounds the residue precision the caller vouches for; the
     enumeration itself runs at the exact modulus max(1, -e), which the
-    integrand depends on.  Raises BudgetError before any work when O_E / p^m
-    has more than ORACLE_MAX_POINTS points.
+    integrand depends on.  Raises BudgetError before any sum when the norm
+    kind's O_E / p^m has more than ORACLE_MAX_POINTS points, or the trace
+    pair kind's coordinate loops may take more than that many iterations.
     """
     _check_prime(p)
     e = int(e)
@@ -188,10 +191,16 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
         raise ValueError(f"depth {depth} too small: need at least |e|+2 = {abs(e) + 2}")
     mp = max(0, -e)
     m = max(1, mp)
-    # capping m keeps the power small: p^128 is over the limit for every p
-    if p ** (2 * min(m, 64)) > ORACLE_MAX_POINTS:
-        raise BudgetError(f"character sum oracle limited to {ORACLE_MAX_POINTS} "
-                          f"residue points, got {p}^{2 * m}")
+    # capping m keeps the power small: p^64 is over the limit for every p.  The norm
+    # kind walks the p^(2m) residue points; the trace pair kind sums up to four pairs
+    # of region parts, each by two loops over at most p^m coordinates
+    pm_cap = p ** min(m, 64)
+    if kind == "norm":
+        steps, what = pm_cap ** 2, f"residue points, got {p}^{2 * m}"
+    else:
+        steps, what = 8 * pm_cap, f"loop iterations, got 8 x {p}^{m}"
+    if steps > ORACLE_MAX_POINTS:
+        raise BudgetError(f"character sum oracle limited to {ORACLE_MAX_POINTS} {what}")
     c = _nonresidue(p)
     pm = p ** m
     pmp = p ** mp
@@ -278,9 +287,8 @@ def _trace_brute(p: int, k1: str, k2: str, e: int) -> Fraction:
 # solution counting over O_E / p^d
 
 
-# vector pairs one count_solutions call may stand for at k = 2: the product of
-# the two roles' vector counts, taken from their own-value totals before any
-# pair work
+# key pairs one count_solutions call may join at k = 2, summed over its blocks
+# and taken from their tallies before any cross value is formed
 PAIR_BUDGET = 5_000_000
 
 # vectors one count may range over: the p^(2 d m) points of (O_E / p^d)^m
@@ -338,16 +346,16 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
     e_b the smallest exponent in the block.  Each block is enumerated once
     per region tuple over these residue classes, each class weighted by its
     number of lifts mod p^d.  At k = 1 the blocks' own-value histograms are
-    convolved and read at (t11, 0).  At k = 2 the same convolution gives
-    each role's vector count; their product is checked against PAIR_BUDGET
-    (BudgetError) before any pair work.  Every block then has one
+    convolved and read at (t11, 0).  At k = 2 every block has one
     (own1, own2, cross) histogram; the last one, the block with the most
     classes, keeps only the own values the others leave it to reach.  The
     others' histograms are convolved and joined with the last one's at
     (t11, 0, t22, 0, t12, 0).  Within a block a first vector is read through
     the coefficients (re, im) of u -> v A u^* and a second through
     coordinate j mod p^(d - min(exps[j], d)), so the cross values are
-    counted over distinct keys, once per pair of own values.
+    counted over distinct keys, once per pair of own values.  The key pairs
+    of all blocks are summed from the tallies and checked against
+    PAIR_BUDGET (BudgetError) before any cross value is formed.
     """
     k = len(regions)
     if k not in (1, 2):
@@ -438,11 +446,12 @@ def count_solutions(sigma, exps, target, regions, p: int, d: int) -> int:
               for i in range(k)]
     # the last block keeps only the own values the others leave it to reach
     keyed = tally(last, [{sub(wanted[i], o) for o in others[i]} for i in range(k)])
-    lasts = [own_hist(kd) for kd in keyed]
-    totals = [sum(n * lasts[i][sub(wanted[i], o)] for o, n in others[i].items()) for i in range(k)]
     if k == 1:
-        return totals[0]
-    pairs = totals[0] * totals[1]
+        last_hist = own_hist(keyed[0])
+        return sum(n * last_hist[sub(wanted[0], o)] for o, n in others[0].items())
+    # the join below forms one cross value per pair of a block's keys
+    pairs = sum(sum(map(len, kd[0].values())) * sum(map(len, kd[1].values()))
+                for kd in tallies + [keyed])
     if pairs > PAIR_BUDGET:
         raise BudgetError(f"pair counting budget exceeded: {pairs} > {PAIR_BUDGET} checks")
 

@@ -164,10 +164,16 @@ def bfs_census(q: int, d: int, rx: int, ry: int) -> dict[tuple[int, int], int]:
     Vertices are reduced words in the letters 0..q (no letter twice in a
     row).  The first center is the empty word, the second is 0101... of
     length d, and a word meets it in its common prefix k, so its distances
-    are len(w) and len(w) + d - 2k.  The walk grows words up to length rx.
+    are len(w) and len(w) + d - 2k.  The walk grows words up to length rx;
+    BudgetError when there are more than 10^5 of them, before any is built.
     """
-    if q ** max(rx, ry) > 10 ** 5:
-        raise BudgetError("census budget exceeded")
+    # 1 word of length 0, q + 1 of length 1, and q times as many at each further length
+    words = at_length = 1
+    for length in range(1, rx + 1):
+        at_length *= q if length > 1 else q + 1
+        words += at_length
+        if words > 10 ** 5:
+            raise BudgetError("census budget exceeded")
     center = [i % 2 for i in range(min(d, rx))]
     census: dict[tuple[int, int], int] = {}
     level = [((), 0)]  # (word, common prefix with the second center)

@@ -114,15 +114,6 @@ class Recorder:
 
 
 # ---------------------------------------------------------------------------
-# small shared sweeps
-
-def _n1_forms(lo: int, hi: int):
-    out = [diagonal((e1, e2)) for e1 in range(lo, hi + 1) for e2 in range(lo, hi + 1)]
-    out += [make_monomial((2, 1), (e, e)) for e in range(lo, hi + 1)]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # integral tables
 
 def _suite_integrals(rec: Recorder, q: int):
@@ -155,10 +146,10 @@ def _suite_gram_duality(rec: Recorder, q: int):
             for B, Bv in bvs:
                 yield gram_fingerprint(Y, B), gram_fingerprint(Yw, Bv)
 
-    ys1 = _n1_forms(-2, 2)
+    ys1 = list(enumerate_reps(1, -2, 2))
     for h in (0, 1, 2):
         # a diagonal 2x2 form is in R^h for every h
-        bs1 = [B for B in _n1_forms(-1, 2) if is_in_Rh(B, h)[0]]
+        bs1 = [B for B in enumerate_reps(1, -1, 2) if is_in_Rh(B, h)[0]]
         rec.sweep(f"pairing-swap-n1[h={h}]", "gram-duality/n1-full", swap_pairs(h, ys1, bs1))
     rng = random.Random(11)
     ys2 = rng.sample(list(enumerate_reps(2, -1, 1)), 25)
@@ -179,7 +170,7 @@ def _suite_gram_duality(rec: Recorder, q: int):
 
 
 def _suite_alpha_duality(rec: Recorder, q: int):
-    ys = _n1_forms(-2, 3)
+    ys = list(enumerate_reps(1, -2, 3))
     for h in (0, 1, 2):
         k = (2 - h) ** 2 - h * h
         scale = (-1 if k % 2 else 1, k, 0, 0)  # q^k as a factored term
@@ -193,7 +184,7 @@ def _suite_alpha_duality(rec: Recorder, q: int):
 
 
 def _suite_profile_forms(rec: Recorder, q: int):
-    ys1 = _n1_forms(-2, 2)
+    ys1 = list(enumerate_reps(1, -2, 2))
     for h in (0, 1, 2):
         for t in (0, 1):
             prof = WeightProfile(1, h, t, 0)
@@ -428,14 +419,9 @@ def _suite_partition_sums(rec: Recorder, q: int):
               ((san_alpha2_prime(a, b), alpha_prime(hironaka_coeffs((1, 0), (a, b))))
                for a, b in san))
     p = q if q <= 5 else 3
-    if p == 5:
-        # the rank-2 target of the p = 3 spot is over locint.PAIR_BUDGET at p = 5 (70,312,500 pairs)
-        cid, lam = "brute-spot[xi=1,0;lam=1;p=5,d=2]", (1,)
-    else:
-        cid, lam = f"brute-spot[p={p},d=2]", (1, 0)
-    rec.equal(cid, "cdens/brute-spot",
-              lambda: (alpha_brute((1, 0), lam, p, 2),
-                       alpha_value(hironaka_coeffs((1, 0), lam)).evaluate(p)))
+    rec.equal(f"brute-spot[p={p},d=2]", "cdens/brute-spot",
+              lambda: (alpha_brute((1, 0), (1, 0), p, 2),
+                       alpha_value(hironaka_coeffs((1, 0), (1, 0))).evaluate(p)))
 
     def pad_pairs():
         for n in (1, 2):

@@ -287,8 +287,9 @@ def alpha_iwahori_brute(Y: MonomialHermitian, p: int, d: int) -> Fraction:
 
     Entries live in the unramified quadratic extension modulo p^d, written
     x + y w with w^2 a nonresidue.  Exponents of Y must be nonnegative so the
-    congruence closes over integers.  locint.count_modulus and
-    locint.PAIR_BUDGET bound p and d.
+    congruence closes over integers.  locint.count_modulus bounds p and d,
+    and locint.PAIR_BUDGET the key pairs of the antidiagonal's one 2-cycle
+    block: 45,000,000 at (p, d) = (5, 2) and 6,412,032 at (23, 1) are refused.
     """
     if Y.size != 2:
         raise ValueError("brute force covers 2x2 only")

@@ -1,14 +1,15 @@
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from conftest import a_t
+from hermdens import locint
 from hermdens.cdens import (
-    HIRONAKA_MAX_TERMS,
+    HIRONAKA_MAX_STEPS,
     JCount,
-    _count_subpartitions,
     _transition_factor,
     alpha_brute,
     alpha_diag_unimodular,
@@ -32,6 +33,11 @@ from hermdens.symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, npq, q
 from hermdens.whit import alpha_iwahori_brute, w_density_n1
 
 SAN_PAIRS = [(0, 0), (2, 0), (1, 1), (3, 1), (4, 2)]
+
+ODD_PRIMES = [p for p in range(3, 800, 2) if all(p % k for k in range(3, p, 2))]
+# per (m, d), the largest p with p^(2 d m) within locint.COUNT_MAX_VECTORS
+VECTOR_EDGE = [(m, d, max(p for p in ODD_PRIMES if p ** (2 * d * m) <= locint.COUNT_MAX_VECTORS))
+               for m in range(1, 7) for d in range(1, 7) if 3 ** (2 * d * m) <= locint.COUNT_MAX_VECTORS]
 
 
 def pi_an_exponents(n: int, r: int) -> tuple[int, ...]:
@@ -79,15 +85,37 @@ def expanded_coeffs(xi, lam):
     return coeffs
 
 
+# subpartition-column products that expanded_coeffs forms at most in walk_sample
+EXPANSION_MAX_TERMS = 20_000
+
+
+def expansion_terms(lam, cap=EXPANSION_MAX_TERMS):
+    """Products expanded_coeffs forms for lam, or more than cap once that many are reached."""
+    columns = lam[0] + 1
+    return len(list(islice(_subpartitions(tuple(x + 1 for x in lam)), cap // columns + 1))) * columns
+
+
+def walk_steps(lam):
+    """Steps of hironaka_coeffs's column walk, from its states alone: one per state per
+    column and one per transition."""
+    lt = tuple(x + 1 for x in lam)
+    lt_c = conjugate_partition(lt) + (0,)
+    states, steps = {(h, h) for h in range(1, len(lt) + 1)}, 0
+    for nxt in lt_c[1:]:
+        steps += sum(1 + min(h, nxt) for h, _ in states)
+        states = {(h1, k + h1) for h, k in states for h1 in range(1, min(h, nxt) + 1)}
+    return steps
+
+
 def walk_sample():
-    """150 (xi, lam) within the partition-sum budget from a fixed seed, and two at its edge."""
+    """150 (xi, lam) within the expansion's term bound from a fixed seed, and two at its edge."""
     rng = random.Random(26)
     sample = []
     while len(sample) < 150:
         top = rng.choice((1, 2, 3, 5, 8))
         lam = tuple(sorted((rng.randint(0, top) for _ in range(rng.randint(1, 7))), reverse=True))
         xi = tuple(sorted((rng.randint(0, 4) for _ in range(rng.randint(1, 5))), reverse=True))
-        if _count_subpartitions(tuple(x + 1 for x in lam)) * (lam[0] + 1) <= HIRONAKA_MAX_TERMS:
+        if expansion_terms(lam) <= EXPANSION_MAX_TERMS:
             sample.append((xi, lam))
     return sample + [((0,), (139,)), ((0,) * 12, (3,) * 12)]
 
@@ -138,20 +166,32 @@ class TestPolynomial:
         for xi, lam in walk_sample():
             assert hironaka_coeffs(xi, lam) == expanded_coeffs(xi, lam), (xi, lam)
 
-    def test_subpartition_count(self):
-        for bound in [(0,), (3,), (4, 2), (5, 5, 1), (3, 3, 3, 2, 1), (7, 4, 4, 2, 2, 1, 1)]:
-            assert _count_subpartitions(bound) == sum(1 for _ in _subpartitions(bound)), bound
-
     def test_partition_sum_budget(self):
-        # 12 parts pass, and so do 141 subpartitions x 140 columns = 19,740 terms
+        # 12 parts pass, and lam = (140,) and (400,) walk 281 and 801 steps
         assert len(hironaka_coeffs((0,), (0,) * 12)) == 13
-        assert len(hironaka_coeffs((0,), (139,))) == 141
+        for lam in ((140,), (400,)):
+            assert hironaka_coeffs((0,), lam) == expanded_coeffs((0,), lam), lam
         with pytest.raises(BudgetError):
             hironaka_coeffs((0,), (0,) * 13)
-        with pytest.raises(BudgetError):
-            hironaka_coeffs((0,), (140,))  # 142 subpartitions x 141 columns
-        with pytest.raises(BudgetError):
-            hironaka_coeffs((0,), (10 ** 12,))  # rejected before the count
+
+    def test_walk_step_edge(self):
+        # lam = (L,) walks 2 L + 1 steps, so L = 954 is the last first part that passes
+        edge = (4,) * 8 + (3, 3, 0)
+        assert [walk_steps(lam) for lam in ((954,), edge, (955,), (10, 9, 8, 6, 4, 2, 2))] \
+            == [HIRONAKA_MAX_STEPS, HIRONAKA_MAX_STEPS, HIRONAKA_MAX_STEPS + 2, HIRONAKA_MAX_STEPS + 1]
+        assert len(hironaka_coeffs((0,), (954,))) == 956
+        assert len(hironaka_coeffs((0,), edge)) == sum(edge) + len(edge) + 1
+        for lam in ((955,), (10, 9, 8, 6, 4, 2, 2), (8,) * 12):
+            with pytest.raises(BudgetError, match=f"limited to {HIRONAKA_MAX_STEPS} walk steps"):
+                hironaka_coeffs((0,), lam)
+
+    def test_huge_first_part_refused_at_once(self):
+        # the walk has a state at each of its lam[0] + 1 columns, so no list is built
+        for lam in ((HIRONAKA_MAX_STEPS,), (10 ** 12,)):
+            start = time.perf_counter()
+            with pytest.raises(BudgetError):
+                hironaka_coeffs((0,), lam)
+            assert time.perf_counter() - start < 0.1
 
     def test_large_xi_parts_cut_at_lam(self):
         # parts of xi above lam[0] + 1 meet no subpartition column
@@ -278,10 +318,24 @@ class TestBrute:
                 alpha_brute(amb, tgt, 3, 1)
         assert alpha_brute((), (0,), 3, 1, pad=2) == Fraction(8, 9)
 
-    def test_pair_budget(self):
-        # every vector solves the diagonal (all values vanish mod 9): 6561^2 pairs
-        with pytest.raises(BudgetError, match="checks"):
-            alpha_brute((2, 2), (2, 2), 3, 2)
+    def test_pair_budget(self, monkeypatch):
+        # every vector solves the diagonal (all values vanish mod 9), so the density is
+        # 81^4 / 3^8: 6561^2 vector pairs, but each of the two blocks joins one key pair
+        assert alpha_brute((2, 2), (2, 2), 3, 2) == 6561
+        # (1, 0) into itself at p = 5 joins 4,375 key pairs, counted before any cross value
+        want = alpha_value(hironaka_coeffs((1, 0), (1, 0))).evaluate(5)
+        monkeypatch.setattr(locint, "PAIR_BUDGET", 4375)
+        assert alpha_brute((1, 0), (1, 0), 5, 2) == want
+        monkeypatch.setattr(locint, "PAIR_BUDGET", 4374)
+        with pytest.raises(BudgetError, match="4375 > 4374 checks"):
+            alpha_brute((1, 0), (1, 0), 5, 2)
+
+    @pytest.mark.parametrize("m,d,p", VECTOR_EDGE)
+    def test_two_columns_at_the_vector_edge(self, m, d, p):
+        # the largest p for each (m, d): diagonal blocks join about COUNT_MAX_VECTORS
+        # key pairs at most (599,076 at m = 1, p = 773), under locint.PAIR_BUDGET
+        xi = (0,) * m
+        assert alpha_brute(xi, (0, 0), p, d) == alpha_value(hironaka_coeffs(xi, (0, 0))).evaluate(p)
 
 
 class TestJFunctional:
@@ -404,8 +458,9 @@ class TestLatticeCounts:
             jcount_oracle((0, 0), (0, 0, 0), 3, 3, "I")
 
     def test_pair_budget(self):
-        with pytest.raises(BudgetError, match="checks"):
-            jcount_oracle((1, 1), (1, 1, 1, 1), 3, 1, "I")
+        # every map solves (all values vanish mod 3): all 9^8 vector pairs, and each
+        # of the four one-coordinate blocks joins a single key pair
+        assert jcount_oracle((1, 1), (1, 1, 1, 1), 3, 1, "I") == JCount(9 ** 8, Fraction(1))
 
     def test_huge_depth_refused_before_its_power(self):
         # 3^(2 * 10^7) would take seconds to build; 2 d m > 12 is refused first,

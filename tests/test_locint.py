@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermdens import locint
 from hermdens.errors import BudgetError, InvariantError
 from hermdens.locint import (
     COUNT_MAX_VECTORS,
@@ -61,6 +62,37 @@ def test_trace_pair_matches_oracle_p3():
         for r1, r2 in combinations_with_replacement(REGIONS, 2):
             got = charsum_oracle(3, "trace_pair", (r1, r2), e, depth=abs(e) + 2)
             assert got == trace_pair_integral(r1, r2, e).evaluate(3), (r1, r2, e)
+
+
+def test_trace_pair_oracle_at_p53_e_minus3():
+    # at most 8 x 53^3 loop iterations, though the 53^6 residue points are over the limit
+    for r1, r2 in combinations_with_replacement(REGIONS, 2):
+        got = charsum_oracle(53, "trace_pair", (r1, r2), -3, depth=5)
+        assert got == trace_pair_integral(r1, r2, -3).evaluate(53), (r1, r2)
+
+
+def test_oracle_budget_counts_each_kinds_loop(monkeypatch):
+    # the norm kind walks the 53^2 grid at e = -1, the trace pair kind loops 8 x 53^3 times at most
+    for kind, regions, e, steps in (("norm", "O", -1, 53 ** 2),
+                                    ("trace_pair", ("O_unit", "O_unit"), -3, 8 * 53 ** 3)):
+        monkeypatch.setattr(locint, "ORACLE_MAX_POINTS", steps)
+        assert charsum_oracle(53, kind, regions, e, abs(e) + 2) is not None
+        monkeypatch.setattr(locint, "ORACLE_MAX_POINTS", steps - 1)
+        with pytest.raises(BudgetError, match=f"limited to {steps - 1} "):
+            charsum_oracle(53, kind, regions, e, abs(e) + 2)
+
+
+def test_oracle_budget_refuses_at_once():
+    start = time.perf_counter()
+    for kind, regions in (("norm", "O"), ("trace_pair", ("O", "O"))):
+        with pytest.raises(BudgetError):
+            charsum_oracle(3, kind, regions, -10 ** 12, 10 ** 12 + 2)
+    with pytest.raises(BudgetError, match="residue points"):
+        charsum_oracle(1000003, "norm", "O", -1, 3)
+    # 8 x 1250003 > 10^7; 1249999 is the largest prime accepted at e = -1
+    with pytest.raises(BudgetError, match="loop iterations"):
+        charsum_oracle(1250003, "trace_pair", ("O", "O"), -1, 3)
+    assert time.perf_counter() - start < 1
 
 
 def test_trace_pair_symmetric():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hermdens.cdens import jfun_n1
+from hermdens.errors import BudgetError
 from hermdens.reps import diagonal
 from hermdens.symb import SignedRational
 from hermdens.tree import (
@@ -113,6 +114,19 @@ def test_census_huge_q_or_distance_returns_at_once(args, want):
     # radius 0 grows no level, and only min(d, rx) letters of the far center are read
     t0 = time.perf_counter()
     assert bfs_census(*args) == want
+    assert time.perf_counter() - t0 < 1
+
+
+def test_census_budget_counts_the_walks_words():
+    # the radius ry only filters the tally: 1 + 4 + 12 words at q = 3, rx = 2
+    assert sum(bfs_census(3, 2, 2, 20).values()) == 17
+    # 1 + 4 (3^10 - 1) / 2 = 118,097 words up to length 10
+    with pytest.raises(BudgetError, match="census budget exceeded"):
+        bfs_census(3, 2, 10, 2)
+    t0 = time.perf_counter()
+    assert bfs_census(3, 0, 0, 10 ** 7) == {(0, 0): 1}
+    with pytest.raises(BudgetError, match="census budget exceeded"):
+        bfs_census(3, 0, 10 ** 9, 0)
     assert time.perf_counter() - t0 < 1
 
 

@@ -299,16 +299,16 @@ def test_alpha_brute_guards():
     for p, d in ((29, 1), (7, 2), (3, 4)):
         with pytest.raises(BudgetError, match="vectors"):
             alpha_iwahori_brute(diagonal((0, 0)), p, d)
-    # 3^12 vectors pass that limit; the pair budget refuses them
-    with pytest.raises(BudgetError, match="checks"):
-        alpha_iwahori_brute(diagonal((0, 0)), 3, 3)
+    # 3^12 vectors pass that limit, and the two one-coordinate blocks join 96,228 key pairs
+    assert alpha_iwahori_brute(diagonal((0, 0)), 3, 3) == alpha_iwahori_n1(diagonal((0, 0))).evaluate(3)
     with pytest.raises(ValueError):
         alpha_iwahori_brute(diagonal((-1, 0)), 3, 1)
 
 
 @pytest.mark.parametrize("p", [7, 23])
 def test_alpha_brute_matches_closed_at_larger_p(p):
-    # depth 1 is stable for the unimodular forms; the antidiagonal at p = 23 is over PAIR_BUDGET
+    # depth 1 is stable for the unimodular forms; the antidiagonal's one 2-cycle block
+    # joins 6,412,032 key pairs at p = 23, over locint.PAIR_BUDGET
     for Y in (diagonal((0, 0)), anti(0)):
         if p == 23 and Y.sigma == (2, 1):
             with pytest.raises(BudgetError, match="checks"):
@@ -318,7 +318,7 @@ def test_alpha_brute_matches_closed_at_larger_p(p):
 
 
 def test_alpha_brute_pair_budget_message():
-    # the role counts 15000 x 3000 are taken before any pair work
+    # one 2-cycle block with 15000 x 3000 keys, counted before any cross value
     with pytest.raises(BudgetError) as err:
         alpha_iwahori_brute(anti(0), 5, 2)
     assert str(err.value) == "pair counting budget exceeded: 45000000 > 5000000 checks"
