@@ -292,6 +292,9 @@ def alpha(opts):
     if opts.pad % 2 or opts.pad < 0:
         raise ValueError("--pad must be an even nonnegative count")
     xi_t, lam_t = _ints(opts.xi), _ints(opts.lam)
+    # the count is the density only once d exceeds every target exponent
+    if opts.brute and any(opts.d <= l for l in lam_t):
+        raise ValueError(f"--brute needs --d above every --lam exponent, got d={opts.d}")
     request = {"xi": list(xi_t), "lam": list(lam_t), "prime": opts.with_prime,
                "pad": opts.pad, "brute": opts.brute,
                "q": opts.q if opts.brute else None, "d": opts.d if opts.brute else None}

@@ -18,8 +18,9 @@ diagonal term is the product of two entries, and the antidiagonal terms are
 one more table.  Both density routes walk the finite box of forms (_box)
 and merge its terms into sums {(N, A, B): c}; the numeric route evaluates
 each distinct (N, A, B) once at s = -q.  The exact route adds the series
-beyond the box, each read off the tails of the tables (_tail), and puts
-the lot over one common denominator (_close).
+beyond the box, read off tails that never vanish and contract (_tail), and
+puts the lot over one common denominator (_close); every coefficient is a
+product or quotient of +-1, so the numerators are integers.
 
 Derivatives are taken against the lattice scaling variable X = s^{-2r} with
 the sign convention  prime = -d/dX at X = 1,  so a monomial c X^m has prime
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_modulus, count_solutions, norm_term, trace_pair_term
 from .reps import MonomialHermitian, WeightProfile, classify
 from .symb import (SL_ONE, SL_ZERO, SR_ZERO, SignedLaurent, SignedRational, _div, _eval_point,
-                   _expand, _float, _pm_coeffs, _pm_poly, _sl, npq)
+                   _expand, _float, _pm_coeffs, _pm_poly, npq)
 
 
 def _min0(x: int) -> int:
@@ -64,21 +64,16 @@ def _add(acc: dict, w: int, term: tuple) -> None:
 def _numerator(acc: dict, low: tuple) -> SignedLaurent:
     """Sum of the merged terms of acc times s^-N0 (s-1)^-A0 (s+1)^-B0, low = (N0, A0, B0).
 
-    low is at most every key's exponents, so each summand is a polynomial;
-    coefficients accumulate as integers over the common denominator of the c,
-    and stay ints when that is 1.
+    low is at most every key's exponents, so each summand is a polynomial; the
+    density's coefficients are ints, though a Fraction would sum correctly too.
     """
     n0, a0, b0 = low
-    den = lcm(*(c.denominator for c in acc.values()))
     out: dict[int, int] = {}
     for (n, a, b), c in acc.items():
-        k = c.numerator * (den // c.denominator)
         for e, x in enumerate(_pm_coeffs(a - a0, b - b0), n - n0):
             if x:
-                out[e] = out.get(e, 0) + k * x
-    if den == 1:
-        return _sl({e: v for e, v in out.items() if v})
-    return SignedLaurent({e: Fraction(v, den) for e, v in out.items()})
+                out[e] = out.get(e, 0) + c * x
+    return SignedLaurent(out)
 
 
 def _evaluate(term: tuple, q: int) -> Fraction:
@@ -317,32 +312,25 @@ def _density_term(Y: MonomialHermitian, B: MonomialHermitian, prof: WeightProfil
     return _div(g[0], a[0]), g[1] + base_exp + 2 * prof.r * slope - a[1], g[2] - a[2], g[3] - a[3]
 
 
-def _tail(table: dict, start: int):
-    """(first, ratio) of the series table[start], table[start + 1], ...; None when it is zero.
+def _tail(table: dict, start: int) -> tuple:
+    """The ratio of the series table[start], table[start + 1], ...
 
-    A zero series must stay zero one step on, a nonzero one must not vanish,
-    and its two steps must follow one ratio.
+    Its first three entries must be nonzero and follow one ratio c s^k with
+    k < 0 and |c| <= 1, so the series converges at every prime, and a
+    product of such ratios contracts too.
     """
-    first, nxt = table[start], table[start + 1]
-    if first is None:
-        if nxt is not None:
-            raise InvariantError("tail restarts after a zero")
-        return None
-    if nxt is None:
-        raise InvariantError("tail vanishes after a nonzero term")
+    first, nxt, third = table[start], table[start + 1], table[start + 2]
+    if first is None or nxt is None or third is None:
+        raise InvariantError("tail vanishes")
     rho = _div(nxt[0], first[0]), nxt[1] - first[1], nxt[2] - first[2], nxt[3] - first[3]
-    if table[start + 2] != _tmul(nxt, rho):
+    if third != _tmul(nxt, rho):
         raise InvariantError("tail is not geometric")
-    return first, rho
-
-
-def _check_contracting(rho: tuple) -> None:
-    """The tail ratio must be c s^k with k < 0 and |c| <= 1, so the series converges at every prime."""
     c, n, a, b = rho
     if a or b:
         raise InvariantError(f"tail ratio not monomial: {rho!r}")
     if n >= 0 or abs(c) > 1:
         raise InvariantError(f"tail ratio does not contract: {rho!r}")
+    return rho
 
 
 def _close(sums: dict) -> SignedRational:
@@ -412,15 +400,19 @@ def _n1_tables(B: MonomialHermitian, prof: WeightProfile, lo: int, hi: int):
 def _box(tables, lo: int, hi: int):
     """Yield (top, slope, term) for each nonzero term of _n1_tables with exponents in [lo, hi].
 
-    The diagonal forms (m1, m2) come first, then the antidiagonal (e, e);
-    top is the larger exponent and slope the derivative weight.
+    The diagonal forms come first, one triangle at a time: m1 >= m2 reads
+    x[m1] * y[m2] and m2 > m1 reads v[m2] * u[m1].  Each triangle runs over
+    its larger exponent, so a row whose far entry is zero is skipped whole.
+    The antidiagonal (e, e) follows; top is the larger exponent and slope
+    the derivative weight.
     """
     (x, y), (u, v), anti = tables
-    for m1 in range(lo, hi + 1):
-        for m2 in range(lo, hi + 1):
-            a, b = (x[m1], y[m2]) if m1 >= m2 else (u[m1], v[m2])
-            if a is not None and b is not None:
-                yield max(m1, m2), _min0(m1) + _min0(m2), _tmul(a, b)
+    for far, near, off in ((x, y, 0), (v, u, 1)):
+        for a in range(lo + off, hi + 1):
+            if (fa := far[a]) is not None:
+                for b in range(lo, a - off + 1):
+                    if (nb := near[b]) is not None:
+                        yield a, _min0(a) + _min0(b), _tmul(fa, nb)
     for e in range(lo, hi + 1):
         tm = anti[e]
         if tm is not None:
@@ -484,23 +476,15 @@ def w_density_n1(B: MonomialHermitian, h: int, t: int, r: int = 0):
 
     for _, slope, tm in _box(tables, -K, K):
         series(tm, slope)
-    # (m1, m2) over m1 > K and over m2 > K, the other exponent in the box
-    tx, tv = _tail(x, K + 1), _tail(v, K + 1)
-    for tail, side in ((tx, y), (tv, u)):
-        if tail:
-            for m in range(-K, K + 1):
-                if side[m] is not None:
-                    series(_tmul(tail[0], side[m]), _min0(m), tail[1])
-    if ta := _tail(anti, K + 1):
-        series(ta[0], 0, ta[1])
-    # m1 >= m2 > K and m2 > m1 > K, each read on its near axis only when its far one lives
-    if ty := tx and _tail(y, K + 1):
-        series(_tmul(tx[0], ty[0]), 0, tx[1], _tmul(tx[1], ty[1]))
-    if tu := tv and _tail(u, K + 1):
-        series(_tmul(tu[0], v[K + 2]), 0, tv[1], _tmul(tu[1], tv[1]))
-    for rhos in sums:
-        for rho in rhos:
-            _check_contracting(rho)
+    # past the box, each triangle far[a] * near[b], a >= b + off, is a strip
+    # along a from every row b <= K and the half quadrant b > K
+    for far, near, off in ((x, y, 0), (v, u, 1)):
+        rf, rn = _tail(far, K + 1), _tail(near, K + 1)
+        for b in range(-K, K + 1):
+            if near[b] is not None:
+                series(_tmul(far[K + 1], near[b]), _min0(b), rf)
+        series(_tmul(far[K + 1 + off], near[K + 1]), 0, rf, _tmul(rf, rn))
+    series(anti[K + 1], 0, _tail(anti, K + 1))
     return _close(sums), _close(dsums)
 
 

@@ -206,12 +206,7 @@ class TestAlpha:
         assert res.exit_code == 3
 
     def test_two_columns_within_pair_budget(self):
-        # diagonal blocks join few key pairs: 2 for 6561^2 vector pairs, where every
-        # vector solves (d = 2 is below the stable depth), and 405 for 390,615,696
-        res = run_main(["--json", "alpha", "--xi", "2,2", "--lam", "2,2",
-                        "--brute", "--q", "3", "--d", "2"])
-        assert res.exit_code == 0
-        assert out_json(res)["brute"]["value"] == "6561"
+        # diagonal blocks join few key pairs: 405 for 390,615,696 vector pairs
         res = run_main(["--json", "alpha", "--xi", "0,0,0,0,0", "--lam", "0,0",
                         "--brute", "--q", "3", "--d", "1"])
         assert res.exit_code == 0
@@ -233,9 +228,20 @@ class TestAlpha:
 
     def test_brute_rejects_non_prime(self):
         res = run_main(["alpha", "--xi", "1,0", "--lam", "1,0",
-                        "--brute", "--q", "4", "--d", "1"])
+                        "--brute", "--q", "4", "--d", "2"])
         assert res.exit_code == 2
         assert res.stdout == ""
+        assert "prime" in res.stderr
+
+    @pytest.mark.parametrize("xi,lam,d", [("1,0", "1,0", "1"), ("2,2", "2,2", "2"),
+                                          ("0,0", "3,2", "3"), ("0", "5", "1")])
+    def test_brute_rejects_depth_before_the_count_stabilizes(self, xi, lam, d):
+        # a count at d <= max(lam) is not yet the density (cdens.alpha_brute still
+        # counts there: 6561 for the 2,2 row)
+        res = run_main(["alpha", "--xi", xi, "--lam", lam, "--brute", "--q", "3", "--d", d])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--d above every --lam exponent" in res.stderr
 
     @pytest.mark.parametrize("xi,lam", [("0,0,0,0,0,0,0,0", "8,8,8,8,8,8,8,8"),
                                         ("1,1,1,1,1,1", "30,30,30"),

@@ -485,9 +485,9 @@ CONE_MUTATIONS = {
     "quadrant-2-far": (("u", "2", "8"), "tail is not geometric"),
     "strip-2-far": (("v", "2", "8"), "tail is not geometric"),
     "antidiagonal-far": (("anti", "2", "8"), "tail is not geometric"),
-    "quadrant-start": (("y", "0", "6"), "tail restarts after a zero"),
-    "strip-start": (("x", "0", "6"), "tail restarts after a zero"),
-    "strip-next": (("x", "0", "7"), "tail vanishes after a nonzero term"),
+    "quadrant-start": (("y", "0", "6"), "tail vanishes"),
+    "strip-start": (("x", "0", "6"), "tail vanishes"),
+    "strip-next": (("x", "0", "7"), "tail vanishes"),
 }
 
 
@@ -500,11 +500,51 @@ def test_mutated_cone_raises(flags, optimize, name):
 
 def test_cone_keys_first_term_by_its_ratios():
     table = {m: (3, -m, 0, 0) for m in (1, 2, 3)}
-    assert whit._tail(table, 1) == ((3, -1, 0, 0), (1, -1, 0, 0))
-    assert whit._tail({1: None, 2: None}, 1) is None
-    _, rho = whit._tail({m: (1, m, 0, 0) for m in (1, 2, 3)}, 1)
+    assert whit._tail(table, 1) == (1, -1, 0, 0)
+    for m in (1, 2, 3):
+        with pytest.raises(InvariantError, match="tail vanishes"):
+            whit._tail({**table, m: None}, 1)
     with pytest.raises(InvariantError, match="does not contract"):
-        whit._check_contracting(rho)
+        whit._tail({m: (1, m, 0, 0) for m in (1, 2, 3)}, 1)
+    with pytest.raises(InvariantError, match="does not contract"):
+        whit._tail({m: (2 ** m, -m, 0, 0) for m in (1, 2, 3)}, 1)
+    with pytest.raises(InvariantError, match="not monomial"):
+        whit._tail({m: (1, -m, m, 0) for m in (1, 2, 3)}, 1)
+
+
+# every diagonal and antidiagonal B with |e| <= 8, at every h and t and at r <= 2
+TAIL_GRID = [(B, h, t, r) for B in [diagonal((l1, l2)) for l1 in range(-8, 9) for l2 in range(-8, 9)]
+             + [anti(l) for l in range(-8, 9)]
+             for h in (0, 1, 2) for t in (0, 1) for r in (0, 1, 2)]
+
+
+def test_tables_past_the_box_are_nonzero_and_contract():
+    # the exact route reads every table at K + 1..K + 3 and sums each as a geometric tail
+    for B, h, t, r in TAIL_GRID:
+        K = max(abs(l) for l in B.e) + whit.KINK_PAD
+        (x, y), (u, v), anti_table = whit._n1_tables(B, WeightProfile(1, h, t, r), K + 1, K + 3)
+        # the ratios are +-s^-1 on x and v, +-s^-3 on y and u and +-s^-4 on anti
+        for table, k in ((x, -1), (y, -3), (u, -3), (v, -1), (anti_table, -4)):
+            first, nxt, third = (table[m] for m in range(K + 1, K + 4))
+            assert None not in (first, nxt, third), (B, h, t, r)
+            c, n = Fraction(nxt[0], first[0]), nxt[1] - first[1]
+            assert nxt[2:] == first[2:] and third[2:] == nxt[2:], (B, h, t, r)
+            assert (third[0], third[1]) == (nxt[0] * c, nxt[1] + n), (B, h, t, r)
+            assert n == k and abs(c) == 1, (B, h, t, r)
+
+
+def test_exact_route_sums_integer_coefficients(monkeypatch):
+    coeffs = []
+    close = whit._close
+
+    def spy(sums):
+        coeffs.extend(c for group in sums.values() for c in group.values())
+        return close(sums)
+
+    monkeypatch.setattr(whit, "_close", spy)
+    for args in TAIL_GRID:
+        w_density_n1.__wrapped__(*args)
+    assert coeffs and all(c.__class__ is int for c in coeffs)
 
 
 def test_density_truncated_report():
