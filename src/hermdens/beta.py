@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError
 from .symb import SL_ONE, SL_ZERO, SignedRational, npq
 
 # the Lagrange route costs 1.4-1.8x more per step in n (one solve at n = 8 takes
@@ -30,13 +30,11 @@ SOLVE_MAX_N = 8
 
 
 def _check_system(n: int, h: int) -> None:
-    """Budget, range and prefactor checks shared by both routes, before any work."""
+    """Budget and range checks shared by both routes, before any work."""
     if n > SOLVE_MAX_N:
         raise BudgetError(f"exact solve limited to n <= {SOLVE_MAX_N}, got n={n}")
     if not (1 <= n and 0 <= h <= 2 * n):
         raise ValueError(f"need n >= 1 and 0 <= h <= 2n, got n={n}, h={h}")
-    if (2 * n - h) ** 2 - h ** 2 != 4 * n * (n - h):
-        raise InvariantError(f"dual prefactor identity fails at n={n}, h={h}")
 
 
 def build_system(n: int, h: int):
@@ -44,7 +42,7 @@ def build_system(n: int, h: int):
     _check_system(n, h)
     N = 2 * n + 1
     cut = 2 * n - h
-    dual_pref = -4 * n * (n - h)
+    dual_pref = -4 * n * (n - h)  # h^2 - (2n - h)^2
     mat, rhs = [], []
     for i in range(1, N + 1):
         c = i - (cut + 1)

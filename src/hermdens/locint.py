@@ -13,9 +13,10 @@ Closed forms are expressed in the signed variable s = -q and stored as
 factored terms (norm_term, trace_pair_term); norm_integral and
 trace_pair_integral expand them.  The independent oracle charsum_oracle
 recomputes every value by summing actual character values over residue
-rings of Z_p[w]/(w^2 - c): root-of-unity bookkeeping is done exactly (fiber counts must be constant on Galois orbits, and sums of
-primitive p^l-th roots collapse to 1, -1, or 0), so the result is a Fraction
-with no numerical cancellation anywhere.
+rings of Z_p[w]/(w^2 - c), one signed part of a region at a time (O_unit
+is O minus piO).  Fiber counts must be constant on Galois orbits, and sums
+of primitive p^l-th roots collapse to 1, -1 or 0, so the result is an exact
+Fraction with no numerical cancellation anywhere.
 
 count_solutions counts solutions of hermitian equations v_i A v_j^* = t_ij
 over O_E / p^d with coordinates restricted to these regions; the three
@@ -170,8 +171,8 @@ def _region_coord_depth(kind: str):
     return [(0, 1), (1, -1)]
 
 
-# steps one charsum_oracle call may take: the p^(2m) residue points of
-# O_E / p^m for the norm kind, its 8 p^m loop iterations for the trace pair kind
+# steps one charsum_oracle call may take: for the norm kind the p^(2m) residue points
+# of O_E / p^m, which bound its square pairs, for the trace pair kind 8 p^m iterations
 ORACLE_MAX_POINTS = 10 ** 7
 
 
@@ -181,9 +182,11 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
     regions: one region for kind='norm', a pair for kind='trace_pair'.
     depth bounds the residue precision the caller vouches for; the
     enumeration itself runs at the exact modulus max(1, -e), which the
-    integrand depends on.  Raises BudgetError before any sum when the norm
-    kind's O_E / p^m has more than ORACLE_MAX_POINTS points, or the trace
-    pair kind's coordinate loops may take more than that many iterations.
+    integrand depends on.  Both kinds sum over the signed region parts of
+    _region_coord_depth; the norm kind pairs each part's squares mod p^mp.
+    Raises BudgetError before any sum when the norm kind's O_E / p^m has
+    more than ORACLE_MAX_POINTS points, or the trace pair kind's coordinate
+    loops may take more than that many iterations.
     """
     _check_prime(p)
     e = int(e)
@@ -192,8 +195,8 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
     mp = max(0, -e)
     m = max(1, mp)
     # capping m keeps the power small: p^64 is over the limit for every p.  The norm
-    # kind walks the p^(2m) residue points; the trace pair kind sums up to four pairs
-    # of region parts, each by two loops over at most p^m coordinates
+    # kind's square pairs are at most its p^(2m) residue points; the trace pair kind sums
+    # up to four pairs of region parts, each by two loops over at most p^m coordinates
     pm_cap = p ** min(m, 64)
     if kind == "norm":
         steps, what = pm_cap ** 2, f"residue points, got {p}^{2 * m}"
@@ -206,20 +209,12 @@ def charsum_oracle(p: int, kind: str, regions, e: int, depth: int) -> Fraction:
     pmp = p ** mp
 
     if kind == "norm":
-        r = _check_region(regions)
-        sq = [a * a % pm for a in range(pm)]
-        fibers: dict[int, int] = {}
-        if r == "piO":
-            coords = range(0, pm, p)
-        else:
-            coords = range(pm)
-        for a in coords:
-            fa = sq[a]
-            for b in coords:
-                if r == "O_unit" and a % p == 0 and b % p == 0:
-                    continue
-                v = (fa - c * sq[b]) % pmp if mp else 0
-                fibers[v] = fibers.get(v, 0) + 1
+        fibers = defaultdict(int)
+        for d, sign in _region_coord_depth(_check_region(regions)):
+            squares = Counter(a * a % pmp for a in range(0, pm, p ** d)).items()
+            for x, nx in squares:
+                for y, ny in squares:
+                    fibers[(x - c * y) % pmp] += sign * nx * ny
         return _collapse(fibers, p, mp) * Fraction(1, pm * pm)
 
     if kind == "trace_pair":

@@ -152,7 +152,7 @@ def _suite_gram_duality(rec: Recorder, q: int):
         bs1 = [B for B in enumerate_reps(1, -1, 2) if is_in_Rh(B, h)[0]]
         rec.sweep(f"pairing-swap-n1[h={h}]", "gram-duality/n1-full", swap_pairs(h, ys1, bs1))
     rng = random.Random(11)
-    ys2 = rng.sample(list(enumerate_reps(2, -1, 1)), 25)
+    ys2 = [rep_at(2, -1, 1, j) for j in rng.sample(range(count_reps(2, -1, 1)), 25)]
     bs2 = [diagonal(tuple(rng.randint(-1, 2) for _ in range(4))) for _ in range(4)]
     rec.sweep("pairing-swap-n2[sampled]", "gram-duality/n2-sample",
               (pair for h in (1, 2, 3) for pair in swap_pairs(h, ys2, bs2)))
@@ -191,7 +191,7 @@ def _suite_profile_forms(rec: Recorder, q: int):
             rec.sweep(f"two-forms-n1[h={h},t={t}]", "profile-forms/two-expressions",
                       ((profile_f(Y, prof)[2], profile_statement(Y, prof)) for Y in ys1))
     rng = random.Random(3)
-    ys2 = rng.sample(list(enumerate_reps(2, -2, 1)), 30)
+    ys2 = [rep_at(2, -2, 1, j) for j in rng.sample(range(count_reps(2, -2, 1)), 30)]
     rec.sweep("two-forms-n2[sampled]", "profile-forms/two-expressions",
               ((profile_f(Y, WeightProfile(2, h, t, 0))[2],
                 profile_statement(Y, WeightProfile(2, h, t, 0)))
@@ -506,7 +506,7 @@ def resolve_suite(name: str) -> str:
     raise ValueError(f"unknown suite {name!r}; try one of {', '.join(suite_names())}")
 
 
-# largest q a suite runs at: the integrals oracle grows as q^4, and q = 53 takes about 8 s
+# largest q a suite runs at: the integrals oracle grows as q^4, and q = 53 takes about 1 s
 VERIFY_MAX_Q = 53
 
 

@@ -57,6 +57,32 @@ def test_norm_matches_oracle_p3():
             assert got == norm_integral(r, e).evaluate(3), (r, e)
 
 
+def _norm_points(p, region, e):
+    """The norm oracle as a literal walk over the p^(2m) residue points of O_E / p^m."""
+    mp = max(0, -e)
+    m = max(1, mp)
+    c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)  # w^2 = c
+    pm, pmp = p ** m, p ** mp
+    sq = [a * a % pm for a in range(pm)]
+    fibers = {}
+    coords = range(0, pm, p) if region == "piO" else range(pm)
+    for a in coords:
+        for b in coords:
+            if region == "O_unit" and a % p == 0 and b % p == 0:
+                continue
+            v = (sq[a] - c * sq[b]) % pmp if mp else 0
+            fibers[v] = fibers.get(v, 0) + 1
+    return _collapse(fibers, p, mp) * Fraction(1, pm * pm)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_norm_oracle_matches_point_walk(p):
+    # the oracle counts squares per signed region part; the walk visits every point once
+    for e in range(-3, 3):
+        for r in REGIONS:
+            assert charsum_oracle(p, "norm", r, e, abs(e) + 2) == _norm_points(p, r, e), (r, e)
+
+
 def test_trace_pair_matches_oracle_p3():
     for e in range(-3, 4):
         for r1, r2 in combinations_with_replacement(REGIONS, 2):
@@ -72,7 +98,8 @@ def test_trace_pair_oracle_at_p53_e_minus3():
 
 
 def test_oracle_budget_counts_each_kinds_loop(monkeypatch):
-    # the norm kind walks the 53^2 grid at e = -1, the trace pair kind loops 8 x 53^3 times at most
+    # the norm kind is held to the 53^2 residue points whose squares it pairs at e = -1,
+    # the trace pair kind to 8 x 53^3 loop iterations
     for kind, regions, e, steps in (("norm", "O", -1, 53 ** 2),
                                     ("trace_pair", ("O_unit", "O_unit"), -3, 8 * 53 ** 3)):
         monkeypatch.setattr(locint, "ORACLE_MAX_POINTS", steps)
