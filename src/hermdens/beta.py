@@ -24,7 +24,8 @@ from .errors import BudgetError
 from .symb import SL_ONE, SL_ZERO, SignedRational, npq
 
 # the Lagrange route costs 1.4-1.8x more per step in n (one solve at n = 8 takes
-# 0.10-0.14 s on a 2-core x86-64 machine with Python 3.11); appendix --n is
+# 0.10-0.11 s at h = 0, 5, 8, 12 and 16 on a 2-core x86-64 machine with
+# Python 3.11, most of it the one Euclid per unknown); appendix --n is
 # checked against this limit too, through _check_system
 SOLVE_MAX_N = 8
 

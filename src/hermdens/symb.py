@@ -16,9 +16,16 @@ compare, hash and print alike, so equality, hashing and to_json do not
 see the difference.
 
 Canonical form of a SignedRational: numerator and denominator share no
-polynomial factor (full Euclidean gcd, not just monomial gcd), the
-denominator has minimal exponent 0, and its constant coefficient is +1.
-That makes the representation unique, so equality is dict comparison.
+polynomial factor (not just no power of s), the denominator has minimal
+exponent 0, and its constant coefficient is +1.  That makes the
+representation unique, so equality is dict comparison.  The constructor
+reaches it through a full Euclidean gcd of the two parts it is given.  The
+field operations start from canonical operands, so Euclid runs only on the
+parts that can share a factor (Henrici's method): a sum with a
+denominator-1 operand or over coprime denominators is reduced as it
+stands, a sum otherwise divides by gcd(d1, d2) and then by the gcd of the
+new numerator with it, a product divides by gcd(n1, d2) and gcd(n2, d1),
+and an inverse or a power needs no gcd at all.
 
 Table values, gram products and density terms travel as factored terms
 (c, N, A, B), standing for c s^N (s-1)^A (s+1)^B; _expand is the one place
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .errors import BudgetError, InvariantError
 
@@ -256,15 +264,24 @@ def _strip(a: dict) -> tuple[int, dict]:
 
 
 def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
-    # quotient and remainder of a by b, both min-exp-0 dicts, b nonzero
+    """Quotient and remainder of a by b, both min-exp-0 dicts, b nonzero.
+
+    The remainder's exponents wait in a max-heap; one that cancels is left
+    there and skipped when it comes up, so the cost follows the term counts
+    and a sparse dividend of large degree allocates nothing dense.
+    """
     a = dict(a)
     out = {}
     db = max(b)
     lb = b[db]
-    while a:
-        da = max(a)
+    heap = [-e for e in a]
+    heapify(heap)
+    while heap:
+        da = -heappop(heap)
         if da < db:
             break
+        if da not in a:
+            continue
         f = _div(a[da], lb)
         shift = da - db
         out[shift] = f
@@ -272,6 +289,8 @@ def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
             e2 = e + shift
             v = a.get(e2, 0) - f * c
             if v:
+                if e2 not in a:
+                    heappush(heap, -e2)
                 a[e2] = v
             else:
                 a.pop(e2, None)
@@ -295,6 +314,38 @@ def _pgcd(a: dict, b: dict) -> dict:
     return {e: _div(c, lo) for e, c in a.items()}
 
 
+def _gcd(a: dict, b: dict):
+    """The polynomial gcd of two Laurent dicts with constant term 1, None when it is 1."""
+    if len(a) < 2 or len(b) < 2:
+        return None
+    g = _pgcd(_strip(a)[1], _strip(b)[1])
+    return g if len(g) > 1 else None
+
+
+def _quo(a: SignedLaurent, g) -> SignedLaurent:
+    """a / g for a divisor g of a from _gcd; a itself when g is None."""
+    if g is None:
+        return a
+    m, p = _strip(a.coeffs)
+    return _sl({e + m: c for e, c in _pdivexact(p, g).items()})
+
+
+def _ints(x: SignedLaurent) -> SignedLaurent:
+    """x with every integral Fraction coefficient made an int; x itself when there is none."""
+    for c in x.coeffs.values():
+        if c.__class__ is not int:
+            return _sl({e: c if c.__class__ is int or c.denominator > 1 else c.numerator
+                        for e, c in x.coeffs.items()})
+    return x
+
+
+def _sr(num: SignedLaurent, den: SignedLaurent) -> "SignedRational":
+    """num / den for coprime parts, den canonical: no gcd, only the int normalization."""
+    r = SignedRational.__new__(SignedRational)
+    r.num, r.den = _ints(num), _ints(den)
+    return r
+
+
 class SignedRational:
     """Quotient of two SignedLaurents, kept in canonical reduced form."""
 
@@ -313,16 +364,16 @@ class SignedRational:
             return
         sn, pn = _strip(num.coeffs)
         sd, pd = _strip(den.coeffs)
-        # a monomial denominator needs no gcd
-        if len(pd) > 1:
-            g = _pgcd(pn, pd)
-            if len(g) > 1 or g.get(0) != 1:
-                pn = _pdivexact(pn, g)
-                pd = _pdivexact(pd, g)
+        g = _gcd(pn, pd)
+        if g:
+            pn, pd = _pdivexact(pn, g), _pdivexact(pd, g)
         c0 = pd[0]
+        if c0 != 1:
+            pn = {e: _div(c, c0) for e, c in pn.items()}
+            pd = {e: _div(c, c0) for e, c in pd.items()}
         shift = sn - sd
-        self.num = SignedLaurent({e + shift: _div(c, c0) for e, c in pn.items()})
-        self.den = SignedLaurent({e: _div(c, c0) for e, c in pd.items()})
+        self.num = _ints(_sl({e + shift: c for e, c in pn.items()} if shift else pn))
+        self.den = _ints(_sl(pd))
 
     # -- helpers --------------------------------------------------------
 
@@ -330,23 +381,35 @@ class SignedRational:
         return self.num.is_zero()
 
     # -- field operations ------------------------------------------------
+    # Both operands are canonical, so a result is reduced only by the
+    # factors its parts can share (Henrici; Knuth, TAOCP 2, 4.5.1).
 
     def __add__(self, other):
         other = _coerce_sr(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return SignedRational(self.num + other.num, self.den)
-        return SignedRational(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            if len(d1.coeffs) == 1:
+                return _sr(n1 + n2, d1)
+            g, e1, e2 = d1.coeffs, SL_ONE, SL_ONE
+        else:
+            g = _gcd(d1.coeffs, d2.coeffs)
+            if g is None:
+                # over coprime denominators the sum is reduced as it stands
+                return _sr(n1 * d2 + n2 * d1, d1 * d2)
+            e1, e2 = _quo(d1, g), _quo(d2, g)
+        # num / (e1 e2 g) with num coprime to e1 e2: only g can share a factor
+        num = n1 * e2 + n2 * e1
+        if num.is_zero():
+            return SR_ZERO
+        g2 = _gcd(num.coeffs, g)
+        return _sr(_quo(num, g2), e1 * _quo(d2, g2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = SignedRational.__new__(SignedRational)
-        r.num = -self.num
-        r.den = self.den
-        return r
+        return _sr(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce_sr(other)
@@ -364,7 +427,11 @@ class SignedRational:
         other = _coerce_sr(other)
         if other is NotImplemented:
             return NotImplemented
-        return SignedRational(self.num * other.num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if n1.is_zero() or n2.is_zero():
+            return SR_ZERO
+        g1, g2 = _gcd(n1.coeffs, d2.coeffs), _gcd(n2.coeffs, d1.coeffs)
+        return _sr(_quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1))
 
     __rmul__ = __mul__
 
@@ -374,7 +441,7 @@ class SignedRational:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero SignedRational")
-        return SignedRational(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def __rtruediv__(self, other):
         other = _coerce_sr(other)
@@ -385,14 +452,17 @@ class SignedRational:
     def inv(self) -> "SignedRational":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return SignedRational(self.den, self.num)
+        m, p = _strip(self.num.coeffs)
+        c0 = p[0]
+        return _sr(_sl({e - m: _div(c, c0) for e, c in self.den.coeffs.items()}),
+                   _sl({e: _div(c, c0) for e, c in p.items()}))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inv() ** (-n)
-        return SignedRational(self.num ** n, self.den ** n)
+        return _sr(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         other = _coerce_sr(other)
@@ -426,7 +496,8 @@ def _coerce_sr(x):
     if isinstance(x, SignedRational):
         return x
     if isinstance(x, (SignedLaurent, int, Fraction)):
-        return SignedRational(x)
+        # a value over 1 is canonical as it stands
+        return _sr(_as_sl(x), SL_ONE)
     return NotImplemented
 
 
@@ -466,8 +537,11 @@ def sr_solve_linear(matrix, rhs) -> list[SignedRational]:
             if a[rr][col].is_zero():
                 continue
             f = a[rr][col] * inv
-            for c in range(col, n):
-                a[rr][c] = a[rr][c] - f * a[prow][c]
+            # column col below the pivot is never read again, and a zero
+            # of the pivot row leaves its entry as it is
+            for c in range(col + 1, n):
+                if not a[prow][c].is_zero():
+                    a[rr][c] = a[rr][c] - f * a[prow][c]
             b[rr] = b[rr] - f * b[prow]
     x: list[SignedRational] = [SignedRational(0)] * n
     for col in range(n - 1, -1, -1):

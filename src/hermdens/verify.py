@@ -20,7 +20,6 @@ from .beta import (
     build_system,
     solve_constants,
     vandermonde_factor_check,
-    vandermonde_inverse_route,
     verify_thm314,
 )
 from .cdens import (
@@ -267,8 +266,10 @@ def _suite_beta_closed_form(rec: Recorder, q: int):
     def inverse_pairs():
         for n in (1, 2, 3):
             for h in range(0, 2 * n + 1):
+                sol = solve_constants(n, h)
                 mat, rhs = build_system(n, h)
-                yield vandermonde_inverse_route(n, h), sr_solve_linear(mat, rhs)
+                yield ([*sol.beta_h, *(-v for v in sol.beta_dual), sol.delta],
+                       sr_solve_linear(mat, rhs))
     rec.sweep("lagrange-inverse[n<=3]", "beta-closed/vandermonde", inverse_pairs())
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .errors import BudgetError, InvariantError
 from .locint import _check_prime, count_modulus, count_solutions, norm_term, trace_pair_term
@@ -419,12 +420,34 @@ def _box(tables, lo: int, hi: int):
             yield e, 2 * _min0(e), tm
 
 
+def _box_degree(tables, lo: int, hi: int) -> int:
+    """The largest |N| + |A| + |B| of a term _box yields, read from the tables alone.
+
+    |N| + |A| + |B| is the largest of the eight sums +-N +-A +-B, and in a
+    triangle each of them adds one far and one near entry, so one pass per
+    sign keeps the best near entry so far.
+    """
+    (x, y), (u, v), anti = tables
+    top = max((abs(tm[1]) + abs(tm[2]) + abs(tm[3]) for tm in anti.values() if tm), default=0)
+    for far, near, off in ((x, y, 0), (v, u, 1)):
+        for sn, sa, sb in product((1, -1), repeat=3):
+            best = None
+            for a in range(lo + off, hi + 1):
+                if (nb := near[a - off]) is not None:
+                    w = sn * nb[1] + sa * nb[2] + sb * nb[3]
+                    best = w if best is None else max(best, w)
+                if best is not None and (fa := far[a]) is not None:
+                    top = max(top, best + sn * fa[1] + sa * fa[2] + sb * fa[3])
+    return top
+
+
 # K = max|e| + KINK_PAD passes every kink of the piecewise terms; the
 # exact result does not depend on it (there is a test for that)
 KINK_PAD = 4
 # the summed box has (2K + 1)^2 terms; the exact sum's numerator has about
-# K * min(r, K) terms and canonicalizing it costs their square, so
-# w_density_n1 also caps max|e| * min(r, max|e|) at this value
+# K * min(r, K) terms, so w_density_n1 also caps max|e| * min(r, max|e|) at
+# this value (set when canonicalizing that numerator cost the square of its
+# terms; the heap-ordered remainder of symb._pdivmod costs far less)
 DENSITY_MAX_EXP = 300
 
 
@@ -505,8 +528,11 @@ def w_density_truncated(B: MonomialHermitian, prof: WeightProfile, q: int,
     _check_prime(q)
     lo, hi = -max(e_window + 2, top + KINK_PAD), e_window + 2
 
+    tables = _n1_tables(B, prof, lo, hi)
+    # the largest term evaluated must fit EVAL_MAX_BITS: refuse before the walk
+    _eval_point(q, _box_degree(tables, lo, hi), 1)
     inner, ring = ({}, {}), ({}, {})
-    for m, slope, tm in _box(_n1_tables(B, prof, lo, hi), lo, hi):
+    for m, slope, tm in _box(tables, lo, hi):
         value, deriv = ring if m > e_window else inner
         _add(value, 1, tm)
         _add(deriv, slope, tm)

@@ -511,8 +511,14 @@ class TestArgumentParsing:
         # the dual form diag:301,299 is over the exponent budget
         (["beta", "--n", "1", "--h", "1", "--verify", "--B", "diag:300,300", "--q", "53"],
          "max|e| <= 300, got 301"),
+        # the largest numeric term, read from the axis tables before the box walk
+        (["wdens", "--B", "diag:300,300", "--h", "0", "--t", "1", "--q", "3", "--emin", "-300",
+          "--emax", "300", "--r", "1000"], "evaluation limited"),
     ])
-    def test_density_budget_before_work(self, args, message):
+    def test_density_budget_before_work(self, args, message, monkeypatch):
+        def walked(*args):
+            raise AssertionError("box walked")
+        monkeypatch.setattr(whit, "_box", walked)
         t0 = time.perf_counter()
         res = run_main(args)
         assert time.perf_counter() - t0 < 2

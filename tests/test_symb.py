@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hermdens.symb import (
     SignedLaurent,
     SignedRational,
     _pdivexact,
+    _pdivmod,
     npq,
     qpow,
     sr_solve_linear,
@@ -307,3 +309,79 @@ def test_int_and_fraction_coefficients_agree(a, b, c, k):
         assert x == y and hash(x) == hash(y)
         assert x.to_json() == y.to_json() and repr(x) == repr(y)
         assert _normalized(x) and _normalized(y)
+
+
+def _product(factors):
+    out = ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+# denominators that share factors: products of s^k +- 1 and small integer polynomials
+binomials = st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from([1, -1])).map(
+    lambda kc: npq(kc[0]) + kc[1])
+small_int_polys = st.dictionaries(st.integers(min_value=0, max_value=2),
+                                  st.integers(min_value=-2, max_value=2),
+                                  max_size=3).map(SignedLaurent).filter(lambda p: not p.is_zero())
+factor_products = st.lists(st.one_of(binomials, small_int_polys), max_size=3).map(_product)
+rationals = st.builds(lambda c, p, d: SignedRational(c * p, d),
+                      small_laurents.filter(lambda p: not p.is_zero()),
+                      factor_products, factor_products)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, rationals)
+def test_operations_match_the_constructor_route(x, y):
+    """Each operation reduces only by the factors its parts can share, and agrees with
+    a full canonicalization of the cross products."""
+    n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+    routes = [(x + y, SignedRational(n1 * d2 + n2 * d1, d1 * d2)),
+              (x - y, SignedRational(n1 * d2 - n2 * d1, d1 * d2)),
+              (x * y, SignedRational(n1 * n2, d1 * d2))]
+    # x + y - y and x * y / y must shed the factors they share with y again
+    routes.append((x + y - y, x))
+    if not y.is_zero():
+        routes += [(x / y, SignedRational(n1 * d2, d1 * n2)), (x * y / y, x)]
+    for got, want in routes:
+        assert got == want and hash(got) == hash(want)
+        assert got.to_json() == want.to_json() and repr(got) == repr(want)
+        assert _normalized(got) and _normalized(want)
+
+
+def test_sparse_division_allocates_by_terms():
+    # (s^(2N) - 1) / (s^N + 1) in a few steps, with nothing dense of degree N
+    big = 10 ** 8
+    tracemalloc.start()
+    try:
+        quo, rem = _pdivmod({0: -1, 2 * big: 1}, {0: 1, big: 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quo == {big: 1, 0: -1} and rem == {}
+    assert peak < 1 << 20
+
+
+def _schoolbook_divmod(a, b):
+    """Long division over dense coefficient lists, from the top degree down."""
+    rem = [Fraction(a.get(e, 0)) for e in range(max(a, default=0) + 1)]
+    db, quo = max(b), {}
+    for d in range(len(rem) - 1, db - 1, -1):
+        f = rem[d] / b[db]
+        if f:
+            quo[d - db] = f
+            for e, c in b.items():
+                rem[e + d - db] -= f * c
+    return quo, {e: c for e, c in enumerate(rem) if c}
+
+
+polys = st.dictionaries(st.integers(min_value=0, max_value=8), small_coeffs,
+                        max_size=6).map(lambda d: SignedLaurent(d).coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys.filter(bool))
+def test_division_matches_schoolbook(a, b):
+    quo, rem = _pdivmod(a, b)
+    assert (quo, rem) == _schoolbook_divmod(a, b)
+    assert all(type(c) is int or c.denominator > 1 for c in quo.values())
