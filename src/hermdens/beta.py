@@ -9,10 +9,11 @@ returns these monomials as SignedLaurents.
 
 The matrix is a scaled two-node Vandermonde in disguise: with nodes x_j and
 column scalings alpha_j as below, s^{2n(2n-h)} B_{ij} = x_j^{i-1} alpha_j.
-solve_constants solves it by Lagrange coefficient inversion
-(vandermonde_inverse_route).  Exact Gaussian elimination (symb.sr_solve_linear
-on build_system) shares no solving code with that route and is kept as the
-independent check in the tests and the verify suites.
+Its Lagrange inverse is a closed product of factors (1 - s^j) per constant,
+and delta = h - n, since the node 1 is a root of every Lagrange numerator
+but delta's (vandermonde_inverse_route).  Exact Gaussian elimination
+(symb.sr_solve_linear on build_system) shares no solving code with that
+route and is kept as the independent check in the tests and the verify suites.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetError
-from .symb import SL_ONE, SL_ZERO, SignedRational, npq
+from .symb import SL_ONE, SignedRational, _unit_prod, npq
 
-# the Lagrange route costs 1.4-1.8x more per step in n (one solve at n = 8 takes
-# 0.10-0.11 s at h = 0, 5, 8, 12 and 16 on a 2-core x86-64 machine with
-# Python 3.11, most of it the one Euclid per unknown); appendix --n is
-# checked against this limit too, through _check_system
+# one solve at n = 8 takes 0.025-0.041 s at h = 0, 5, 8, 12 and 16 on a 2-core
+# x86-64 machine with Python 3.11, most of it the one Euclid per unknown, and
+# 1.4-2.8x more per step in n (BENCH_products.json); appendix --n is checked
+# against this limit too, through _check_system
 SOLVE_MAX_N = 8
 
 
@@ -101,34 +102,25 @@ def vandermonde_factor_check(n: int, h: int) -> bool:
 
 
 def vandermonde_inverse_route(n: int, h: int) -> list[SignedRational]:
-    """Solve the system through Lagrange coefficients instead of elimination.
+    """Solve the system in closed form, from the Lagrange inverse of its shape.
 
-    Scaling by s^{2n(2n-h)} turns row i (0-based) of the right hand side into
-    the integer c_i = i - (2n-h).  With l_ij the z^{2n-j} coefficient of
-    prod_{m != i} (1 - x_m z), unknown i is
-    sum_j c_j l_ij / (alpha_i prod_{m != i} (x_m - x_i)).  Numerator and
-    denominator stay Laurent polynomials, so each unknown is canonicalized once.
+    The unknown at the node s^a (sign +) or s^-a (sign -), 1 <= a <= n, is
+    ±(-1)^a s^(a(a+1)/2 - a c) prod_{j=n-a+1..n} (1 - s^j) / ((1 - s^a)
+    prod_{j=n+1..n+a} (1 - s^j)), with c = 3n - h or n + h; the last one, at
+    the node 1, is delta = h - n.  Proof sketch: 1 is a root of every other
+    Lagrange numerator prod_{m != i} (1 - x_m z), so one term of its
+    derivative at 1 survives and cancels against s^k - s^j = ±s^min(k, j)
+    (1 - s^|k-j|); delta is h + sum_{k != 0} s^k / (1 - s^k), and the terms
+    for k and -k add to -1.  Each unknown is canonicalized once.
     """
     _check_system(n, h)
-    xs, al = _nodes(n, h)
-    N = 2 * n + 1
-    cut = 2 * n - h
     out = []
-    for i in range(N):
-        coeffs = [SL_ONE]
-        den = al[i]
-        for m in range(N):
-            if m == i:
-                continue
-            grown = coeffs + [SL_ZERO]
-            for k, ck in enumerate(coeffs):
-                grown[k + 1] = grown[k + 1] - ck * xs[m]
-            coeffs = grown
-            den = den * (xs[m] - xs[i])
-        num = SL_ZERO
-        for j in range(N):
-            num = num + coeffs[N - 1 - j] * (j - cut)
-        out.append(SignedRational(num, den))
+    for sign, c in ((1, 3 * n - h), (-1, n + h)):
+        for a in range(n, 0, -1):
+            # _unit_prod's shifts -n..a-n-1 give prod_{j=n-a+1..n} (1 - s^j)
+            num = npq(a * (a + 1) // 2 - a * c, sign * (-1) ** a) * _unit_prod(range(-n, a - n))
+            out.append(SignedRational(num, _unit_prod((-a, *range(-n - a, -n)))))
+    out.append(SignedRational(h - n))
     return out
 
 

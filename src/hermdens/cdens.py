@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import BudgetError
 from .locint import count_modulus, count_solutions
-from .symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, npq, qpow
+from .symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, _unit_prod, npq, qpow
 
 
 def _check_partition(parts: Sequence[int], what: str) -> tuple[int, ...]:
@@ -39,14 +39,6 @@ def conjugate_partition(parts: Sequence[int]) -> tuple[int, ...]:
     if not parts or parts[0] == 0:
         return ()
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
-
-
-def _unit_prod(shifts) -> SignedLaurent:
-    """prod (1 - s^-l) over the shifts l, as one Laurent polynomial."""
-    prod = SL_ONE
-    for l in shifts:
-        prod = prod * (SL_ONE - npq(-l))
-    return prod
 
 
 @lru_cache(maxsize=None)

@@ -589,6 +589,14 @@ def _pm_poly(a: int, b: int) -> SignedLaurent:
     return SignedLaurent(dict(enumerate(_pm_coeffs(a, b))))
 
 
+def _unit_prod(shifts) -> SignedLaurent:
+    """prod (1 - s^-l) over the shifts l, as one Laurent polynomial."""
+    prod = SL_ONE
+    for l in shifts:
+        prod = prod * (SL_ONE - npq(-l))
+    return prod
+
+
 def _expand(term) -> SignedRational:
     """The factored term as a SignedRational; None stands for zero."""
     if term is None:

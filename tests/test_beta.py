@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hermdens.beta import (
+    SOLVE_MAX_N,
+    _nodes,
     beta_closed_last,
     build_system,
     solve_constants,
@@ -12,7 +14,7 @@ from hermdens.beta import (
 )
 from hermdens.errors import BudgetError
 from hermdens.reps import diagonal, make_monomial
-from hermdens.symb import SL_ONE, SignedLaurent, SignedRational, npq, sr_solve_linear
+from hermdens.symb import SL_ONE, SL_ZERO, SignedLaurent, SignedRational, npq, sr_solve_linear
 
 
 def test_system_frozen_n1_h1():
@@ -96,6 +98,75 @@ def test_vandermonde_inverse_route_matches_solver():
         for h in range(0, 2 * n + 1):
             mat, rhs = build_system(n, h)
             assert vandermonde_inverse_route(n, h) == sr_solve_linear(mat, rhs)
+
+
+def _lagrange_reference(n, h):
+    """The system solved by expanding Lagrange coefficients, the route's closed form unexpanded.
+
+    Scaling by s^{2n(2n-h)} turns row i (0-based) of the right hand side into
+    the integer c_i = i - (2n-h).  With l_ij the z^{2n-j} coefficient of
+    prod_{m != i} (1 - x_m z), unknown i is
+    sum_j c_j l_ij / (alpha_i prod_{m != i} (x_m - x_i)).
+    """
+    xs, al = _nodes(n, h)
+    N = 2 * n + 1
+    cut = 2 * n - h
+    out = []
+    for i in range(N):
+        coeffs = [SL_ONE]
+        den = al[i]
+        for m in range(N):
+            if m == i:
+                continue
+            grown = coeffs + [SL_ZERO]
+            for k, ck in enumerate(coeffs):
+                grown[k + 1] = grown[k + 1] - ck * xs[m]
+            coeffs = grown
+            den = den * (xs[m] - xs[i])
+        num = SL_ZERO
+        for j in range(N):
+            num = num + coeffs[N - 1 - j] * (j - cut)
+        out.append(SignedRational(num, den))
+    return out
+
+
+def _coeff_types(x):
+    return [type(c) for part in (x.num, x.den) for _, c in sorted(part.coeffs.items())]
+
+
+@pytest.mark.parametrize("n,hs", [(n, range(2 * n + 1)) for n in range(1, 7)]
+                         + [(8, (0, 7, 8, 16))])
+def test_closed_products_match_lagrange_reference(n, hs):
+    for h in hs:
+        got = vandermonde_inverse_route(n, h)
+        want = _lagrange_reference(n, h)
+        assert len(got) == len(want) == 2 * n + 1
+        for x, y in zip(got, want):
+            assert repr(x) == repr(y), (n, h)
+            assert x.to_json() == y.to_json(), (n, h)
+            assert _coeff_types(x) == _coeff_types(y), (n, h)
+
+
+@pytest.mark.parametrize("n", range(1, SOLVE_MAX_N + 1))
+def test_edge_residual_at_primes_and_duality(n):
+    # M x = b in Fractions at three primes, every h up to the solve limit
+    for h in range(2 * n + 1):
+        mat, rhs = build_system(n, h)
+        sol = solve_constants(n, h)
+        vec = [*sol.beta_h, *(-b for b in sol.beta_dual), sol.delta]
+        for q in (3, 5, 7):
+            xs = [x.evaluate(q) for x in vec]
+            for row, want in zip(mat, rhs):
+                assert sum(a.evaluate(q) * x for a, x in zip(row, xs)) == want.evaluate(q), (n, h, q)
+        # the dual block of the h system is the main block of the 2n-h system
+        assert sol.beta_dual == solve_constants(n, 2 * n - h).beta_h, (n, h)
+
+
+def test_elimination_gives_delta_h_minus_n():
+    for n in range(1, 5):
+        for h in range(2 * n + 1):
+            mat, rhs = build_system(n, h)
+            assert sr_solve_linear(mat, rhs)[-1] == SignedRational(h - n), (n, h)
 
 
 def test_thm314_identity_spot():
